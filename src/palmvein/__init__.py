@@ -15,13 +15,11 @@ from .tensor import (
     ParamSet,
     Tensor,
     adaptive_avg_pool2d,
-    as_tensor,
     backward,
     clamp01,
     concat_channels,
     conv2d,
     conv_params,
-    dropout,
     kaiming_uniform,
     l2_normalize,
     linear,
@@ -64,7 +62,6 @@ __all__ = [
     "WeightsVersionError",
     "adam_step",
     "adaptive_avg_pool2d",
-    "as_tensor",
     "backward",
     "check_gradients",
     "clamp01",
@@ -72,7 +69,6 @@ __all__ = [
     "conv2d",
     "conv_params",
     "derive_seed",
-    "dropout",
     "enroll",
     "format_kv",
     "kaiming_uniform",

@@ -29,7 +29,8 @@ from .tensor import (
     relu,
     upsample2_nearest,
 )
-from .transforms import stack_channels
+
+_FORWARD_CHUNK = 32  # images per inference forward; bounds conv temporaries
 
 
 @dataclass(frozen=True)
@@ -126,16 +127,14 @@ def ced_apply(model: CEDModel, x: Tensor) -> Tensor:
     return clamp01(conv2d(x, p["head.conv.w"], p["head.conv.b"], "same"))
 
 
-def ced_forward(model: CEDModel, image: np.ndarray) -> np.ndarray:
-    """Inference on one [H,W] image (or a [N,H,W] batch); returns float32."""
-    img = np.asarray(image, dtype=np.float32)
-    if img.ndim == 2:
-        out = ced_apply(model, Tensor(img[None])).data
-        return out[0]
-    if img.ndim == 3:
-        out = ced_apply(model, Tensor(img[:, None])).data
-        return out[:, 0]
-    raise DimensionError(f"expected [H,W] or [N,H,W], got {img.ndim} dims")
+def ced_forward(model: CEDModel, images: np.ndarray) -> np.ndarray:
+    """Inference on a [N,H,W] batch, 32 images per forward; returns float32."""
+    imgs = np.asarray(images, dtype=np.float32)
+    if imgs.ndim != 3:
+        raise DimensionError(f"expected [N,H,W], got {imgs.ndim} dims")
+    outs = [ced_apply(model, Tensor(imgs[s:s + _FORWARD_CHUNK, None])).data[:, 0]
+            for s in range(0, imgs.shape[0], _FORWARD_CHUNK)]
+    return np.concatenate(outs, axis=0)
 
 
 def _pairs_to_arrays(pairs) -> tuple[np.ndarray, np.ndarray]:
@@ -207,11 +206,6 @@ def stacked_apply(stacked: StackedCED, x: Tensor) -> Tensor:
     return ced_apply(stacked.second, ced_apply(stacked.first, x))
 
 
-def stacked_forward(stacked: StackedCED, image: np.ndarray) -> np.ndarray:
-    mid = ced_forward(stacked.first, image)
-    return ced_forward(stacked.second, mid)
-
-
 def finetune_stacked(stacked: StackedCED, pairs, hyper: TrainHyper | None = None
                      ) -> list[float]:
     """Jointly train both CEDs of a stack against (original, target) pairs."""
@@ -224,43 +218,9 @@ def finetune_stacked(stacked: StackedCED, pairs, hyper: TrainHyper | None = None
                        xs, ys, hyper)
 
 
-def extract_features(stacked: StackedCED, image: np.ndarray) -> np.ndarray:
-    """Assemble the [original, learned-tcm, learned-irt] channel stack."""
-    img = np.asarray(image, dtype=np.float32)
-    if img.ndim != 2:
-        raise DimensionError(f"extract_features expects one [H,W] image, got {img.ndim} dims")
-    learned_tcm = ced_forward(stacked.first, img)
-    learned_irt = ced_forward(stacked.second, learned_tcm)
-    return stack_channels(img, learned_tcm, learned_irt)
-
-
 def extract_features_batch(stacked: StackedCED, images: np.ndarray) -> np.ndarray:
-    """Batched feature stacks: [N,H,W] -> [N,3,H,W]."""
+    """The [original, learned-tcm, learned-irt] channel stacks: [N,H,W] -> [N,3,H,W]."""
     imgs = np.asarray(images, dtype=np.float32)
-    if imgs.ndim != 3:
-        raise DimensionError(f"expected [N,H,W], got {imgs.ndim} dims")
     learned_tcm = ced_forward(stacked.first, imgs)
     learned_irt = ced_forward(stacked.second, learned_tcm)
     return np.stack([imgs, learned_tcm, learned_irt], axis=1)
-
-
-def ced_param_count(config: CEDConfig) -> int:
-    """Closed-form parameter count for a given config (used by tests)."""
-    def conv(co, ci, k=3):
-        return co * ci * k * k + co
-
-    total = 0
-    c_in = config.in_channels
-    for level in range(config.depth):
-        c = config.level_channels(level)
-        total += conv(c, c_in) + conv(c, c)
-        c_in = c
-    c_mid = config.base_channels << config.depth
-    total += conv(c_mid, c_in) + conv(c_mid, c_mid)
-    c_below = c_mid
-    for level in reversed(range(config.depth)):
-        c = config.level_channels(level)
-        total += conv(c, c_below + c) + conv(c, c)
-        c_below = c
-    total += conv(1, config.base_channels, k=1)
-    return total

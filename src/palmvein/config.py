@@ -84,7 +84,6 @@ class PipelineConfig:
     fe_channels: tuple[int, ...] = (8, 16, 32, 64, 64, 64)
     fe_pool_grid: int = 4
     fe_embedding_dim: int = 128
-    fe_dropout: float = 0.0
     # autoencoder pretraining
     ae_epochs: int = 3
     ae_batch: int = 8
@@ -131,8 +130,7 @@ class PipelineConfig:
     def fe_config(self) -> FEConfig:
         return FEConfig(input_size=self.size, stages=standard_stages(self.fe_channels),
                         pool_grid=self.fe_pool_grid,
-                        embedding_dim=self.fe_embedding_dim,
-                        dropout_rate=self.fe_dropout)
+                        embedding_dim=self.fe_embedding_dim)
 
     def margin_schedule(self) -> MarginSchedule:
         return MarginSchedule(total_steps=self.triplet_steps,
@@ -242,7 +240,6 @@ _KEYS: dict[str, tuple[str, type | object]] = {
     "fe.channels": ("fe_channels", _parse_channels),
     "fe.pool_grid": ("fe_pool_grid", int),
     "fe.embedding_dim": ("fe_embedding_dim", int),
-    "fe.dropout": ("fe_dropout", float),
     "ae.epochs": ("ae_epochs", int),
     "ae.batch": ("ae_batch", int),
     "ae.lr": ("ae_lr", float),

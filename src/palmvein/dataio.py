@@ -108,15 +108,3 @@ def read_manifest(path: str | Path) -> list[ManifestRecord]:
 
 def load_image(root: str | Path, record: ManifestRecord) -> np.ndarray:
     return read_pgm(Path(root) / record.relative_path)
-
-
-def load_split(root: str | Path, records: list[ManifestRecord]
-               ) -> tuple[dict[tuple[int, int], np.ndarray],
-                          dict[tuple[int, int], np.ndarray]]:
-    """Load all images, keyed by (subject_id, sample_index), split by role."""
-    gallery: dict[tuple[int, int], np.ndarray] = {}
-    probe: dict[tuple[int, int], np.ndarray] = {}
-    for r in records:
-        target = gallery if r.role == "gallery" else probe
-        target[(r.subject_id, r.sample_index)] = load_image(root, r)
-    return gallery, probe

@@ -29,7 +29,6 @@ from .tensor import (
     concat_channels,
     conv2d,
     conv_params,
-    dropout,
     l2_normalize,
     linear,
     linear_params,
@@ -38,6 +37,8 @@ from .tensor import (
     relu,
     upsample2_nearest,
 )
+
+_EMBED_CHUNK = 64  # images per embedding forward; bounds conv temporaries
 
 
 @dataclass(frozen=True)
@@ -84,7 +85,6 @@ class FEConfig:
     stages: tuple[StageSpec, ...] = standard_stages((8, 16, 32, 64, 64, 64))
     pool_grid: int = 4
     embedding_dim: int = 128
-    dropout_rate: float = 0.0
 
     def __post_init__(self):
         if not self.stages:
@@ -97,19 +97,6 @@ class FEConfig:
             raise ConfigError(f"pool_grid must be >= 1, got {self.pool_grid}")
         if self.embedding_dim < 1:
             raise ConfigError(f"embedding_dim must be >= 1, got {self.embedding_dim}")
-        if not 0.0 <= self.dropout_rate < 1.0:
-            raise ConfigError(f"dropout_rate must be in [0,1), got {self.dropout_rate}")
-
-    @staticmethod
-    def desk() -> "FEConfig":
-        return FEConfig()
-
-    @staticmethod
-    def fullscale() -> "FEConfig":
-        """Full-scale preset: 150x150 input, 7x7x512 trunk interface."""
-        return FEConfig(input_size=150,
-                        stages=standard_stages((64, 128, 256, 512, 512, 512)),
-                        pool_grid=7)
 
     @property
     def trunk_channels(self) -> int:
@@ -170,35 +157,22 @@ def trunk_apply(model: FEModel, x: Tensor) -> Tensor:
     return x
 
 
-def fe_apply(model: FEModel, x: Tensor, training: bool = False,
-             rng: np.random.Generator | None = None) -> Tensor:
+def fe_apply(model: FEModel, x: Tensor) -> Tensor:
     """Full forward: [N,C,H,W] -> [N,embedding_dim] unit-norm embeddings."""
     cfg = model.config
     feat = trunk_apply(model, x)
     feat = adaptive_avg_pool2d(feat, cfg.pool_grid)
     flat = feat.flatten_from(feat.ndim - 3)
-    if training and cfg.dropout_rate > 0.0:
-        if rng is None:
-            raise ContractError("dropout during training requires an rng")
-        flat = dropout(flat, cfg.dropout_rate, rng, training=True)
     return l2_normalize(linear(flat, model.head["fc.w"], model.head["fc.b"]))
 
 
-def embed(model: FEModel, mci: np.ndarray) -> np.ndarray:
-    """Embed one [3,H,W] multi-channel image to a unit 128-vector."""
-    arr = np.asarray(mci, dtype=np.float32)
-    if arr.ndim != 3:
-        raise DimensionError(f"embed expects [C,H,W], got {arr.ndim} dims")
-    return fe_apply(model, Tensor(arr[None])).data[0]
-
-
-def embed_batch(model: FEModel, mcis: np.ndarray, batch_size: int = 64) -> np.ndarray:
-    """Embed [N,3,H,W] in chunks; returns [N,embedding_dim] float32."""
+def embed_batch(model: FEModel, mcis: np.ndarray) -> np.ndarray:
+    """Embed [N,3,H,W], 64 images per forward; returns [N,embedding_dim] float32."""
     arr = np.asarray(mcis, dtype=np.float32)
     if arr.ndim != 4:
         raise DimensionError(f"embed_batch expects [N,C,H,W], got {arr.ndim} dims")
-    outs = [fe_apply(model, Tensor(arr[s:s + batch_size])).data
-            for s in range(0, arr.shape[0], batch_size)]
+    outs = [fe_apply(model, Tensor(arr[s:s + _EMBED_CHUNK])).data
+            for s in range(0, arr.shape[0], _EMBED_CHUNK)]
     return np.concatenate(outs, axis=0)
 
 
@@ -297,10 +271,3 @@ def pretrain_autoencoder(model: FEModel, images: np.ndarray | list,
         for t, flag in zip(model.trunk.tensors(), was_trainable):
             t.requires_grad = flag
     return model.trunk, log
-
-
-def reconstruction_mse(model: FEModel, dec: ParamSet, images: np.ndarray) -> float:
-    """Mean reconstruction error of the current autoencoder on `images`."""
-    arr = np.asarray(images, dtype=np.float32)
-    recon = decoder_apply(model.config, dec, trunk_apply(model, Tensor(arr)))
-    return float(((recon.data - arr) ** 2).mean())

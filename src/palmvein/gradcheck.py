@@ -31,13 +31,6 @@ class ParamCheck:
     max_rel_error: float
     checked_elements: int
 
-    def line(self, tolerance: float) -> str:
-        if not self.has_gradient:
-            return f"{self.name}: no gradient (frozen or unreachable)"
-        verdict = "ok" if self.max_rel_error <= tolerance else "FAIL"
-        return (f"{self.name}: max_rel_err={self.max_rel_error:.3e} "
-                f"over {self.checked_elements} elements [{verdict}]")
-
 
 @dataclass
 class GradCheckReport:
@@ -53,13 +46,6 @@ class GradCheckReport:
     def worst(self) -> float:
         errs = [c.max_rel_error for c in self.checks if c.has_gradient]
         return max(errs) if errs else 0.0
-
-    def summary(self) -> str:
-        lines = [c.line(self.tolerance) for c in self.checks]
-        lines.append(f"gradient check: worst={self.worst:.3e} "
-                     f"tolerance={self.tolerance:.1e} "
-                     f"{'PASS' if self.passed else 'FAIL'}")
-        return "\n".join(lines)
 
 
 def check_gradients(params: ParamSet,
@@ -181,9 +167,9 @@ def _const(rng: np.random.Generator, *shape: int) -> Tensor:
 def _primitive_cases() -> list[tuple[str, Callable]]:
     """Each builder maps (rng, trial) -> (params, loss_fn), all float64."""
     from .tensor import (adaptive_avg_pool2d, clamp01, concat_channels, conv2d,
-                         dropout, l2_normalize, linear, maxpool2, mse_loss,
-                         relu, upsample2_nearest)
-    from .triplet import squared_distance, triplet_loss
+                         l2_normalize, linear, maxpool2, mse_loss, relu,
+                         upsample2_nearest)
+    from .triplet import triplet_loss_batch
 
     def conv_case(rng, trial):
         x, w, b = _t64(rng, 2, 2, 6, 6), _t64(rng, 3, 2, 3, 3), _t64(rng, 3)
@@ -226,12 +212,6 @@ def _primitive_cases() -> list[tuple[str, Callable]]:
         x, t = _t64(rng, 2, 3, 8, 8), _const(rng, 2, 3, 2, 2)
         return _params_of(x=x), lambda: mse_loss(adaptive_avg_pool2d(x, 2), t)
 
-    def dropout_case(rng, trial):
-        x, t = _t64(rng, 4, 6), _const(rng, 4, 6)
-        mask_seed = trial  # fixed per trial so loss_fn is deterministic
-        return _params_of(x=x), lambda: mse_loss(
-            dropout(x, 0.4, np.random.default_rng(mask_seed), training=True), t)
-
     def arith_case(rng, trial):
         a, b, c = _t64(rng, 3, 4), _t64(rng, 3, 4), _t64(rng, 3, 4)
         t = _const(rng, 3, 4)
@@ -241,17 +221,16 @@ def _primitive_cases() -> list[tuple[str, Callable]]:
         x, t = _t64(rng, 4, 4), _const(rng, 4, 4)
         return _params_of(x=x), lambda: mse_loss(x, t)
 
-    def sqdist_case(rng, trial):
-        a, b = _t64(rng, 8), _t64(rng, 8)
-        return _params_of(a=a, b=b), lambda: squared_distance(a, b)
-
     def triplet_case(rng, trial):
-        base = rng.uniform(-1.0, 1.0, size=8)
+        base = rng.uniform(-1.0, 1.0, size=(3, 8))
         a = Tensor(base, requires_grad=True)
-        p = Tensor(base + rng.uniform(0.2, 0.4, size=8), requires_grad=True)
-        hn = Tensor(base + rng.uniform(0.05, 0.1, size=8), requires_grad=True)
-        # hn sits closer than p, so the hinge is active by construction
-        return _params_of(a=a, p=p, hn=hn), lambda: triplet_loss(a, p, hn, 0.5)
+        p = Tensor(base + rng.uniform(0.2, 0.4, size=(3, 8)), requires_grad=True)
+        offsets = rng.uniform(0.05, 0.1, size=(3, 8))
+        offsets[2] += 1.0
+        hn = Tensor(base + offsets, requires_grad=True)
+        # rows 0-1: hn sits closer than p, so the hinge is active; row 2: hn
+        # sits far beyond the margin, so the hinge is inactive with zero gradient
+        return _params_of(a=a, p=p, hn=hn), lambda: triplet_loss_batch(a, p, hn, 0.5)
 
     return [
         ("conv2d", conv_case),
@@ -263,11 +242,9 @@ def _primitive_cases() -> list[tuple[str, Callable]]:
         ("clamp01", clamp_case),
         ("l2_normalize", l2_case),
         ("adaptive_avg_pool2d", avgpool_case),
-        ("dropout", dropout_case),
         ("elementwise_arith", arith_case),
         ("mse_loss", mse_case),
-        ("squared_distance", sqdist_case),
-        ("triplet_loss", triplet_case),
+        ("triplet_loss_batch", triplet_case),
     ]
 
 

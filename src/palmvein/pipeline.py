@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import logging
 import time
+import zipfile
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Sequence
@@ -31,12 +32,11 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .ced import (CEDModel, StackedCED, build_ced, ced_apply, ced_forward,
-                  extract_features, extract_features_batch, finetune_stacked,
-                  stack_ceds, stacked_forward, train_ced)
+                  extract_features_batch, finetune_stacked, stack_ceds, train_ced)
 from .dataio import MANIFEST_NAME, ManifestRecord, load_image, read_manifest, read_pgm
 from .errors import ContractError, StageError
 from .evalkit import EvalReport, build_report, emit_report, match_score
-from .fe import FEModel, build_fe, embed, embed_batch, fe_apply, pretrain_autoencoder, \
+from .fe import FEModel, build_fe, embed_batch, fe_apply, pretrain_autoencoder, \
     set_trainable
 from .optim import Adam
 from .synth import AugmentConfig, augment, build_dataset
@@ -72,8 +72,6 @@ _TAG_AE = 0xAE0
 _TAG_TRIPLET = 0x7219
 _TAG_E2E = 0xE2E
 _TAG_BASELINE = 0xBA5E
-
-_MCI_CHUNK = 32  # feature-extraction batch size; bounds conv temporaries
 
 
 def derive_seed(*parts: int) -> int:
@@ -228,14 +226,6 @@ def _load_images(paths: RunPaths,
     return {(r.subject_id, r.sample_index): load_image(paths.data, r) for r in records}
 
 
-def _mci_batch(stacked: StackedCED, images: np.ndarray,
-               chunk: int = _MCI_CHUNK) -> np.ndarray:
-    """Chunked feature extraction, bounding peak memory of the conv windows."""
-    parts = [extract_features_batch(stacked, images[i:i + chunk])
-             for i in range(0, len(images), chunk)]
-    return np.concatenate(parts, axis=0)
-
-
 def _update_metrics_csv(path: Path, updates: dict[str, float]) -> None:
     """Merge key/value metric rows into a small CSV, rewriting it sorted."""
     rows: dict[str, str] = {}
@@ -355,7 +345,7 @@ def stage_train_ced1(cfg: PipelineConfig) -> None:
     ys = [y for _, y in held]
     _update_metrics_csv(paths.ced_metrics, {
         "ced1_train_loss_final": train_ced_losses[-1],
-        "ced1_holdout_mse": _holdout_mse([ced_forward(model, x) for x in xs], ys),
+        "ced1_holdout_mse": _holdout_mse(ced_forward(model, np.stack(xs)), ys),
         "identity_holdout_mse": _holdout_mse(xs, ys),
     })
 
@@ -389,14 +379,18 @@ def stage_finetune_stack(cfg: PipelineConfig) -> None:
         _load_ced(cfg, paths, CKPT_CED2, stage, "train-ced"))
 
     held = _ced_pairs(records, "probe", images, paths, None, "irt", stage)
-    xs = [x for x, _ in held]
+    xs = np.stack([x for x, _ in held])
     ys = [y for _, y in held]
-    pre_mse = _holdout_mse([stacked_forward(stacked, x) for x in xs], ys)
+
+    def holdout_mse() -> float:
+        return _holdout_mse(ced_forward(stacked.second, ced_forward(stacked.first, xs)), ys)
+
+    pre_mse = holdout_mse()
 
     train_pairs = _ced_pairs(records, "gallery", images, paths, None, "irt", stage)
     losses = _finetune_stacked_checked(stacked, train_pairs,
                                        cfg.stack_hyper(derive_seed(cfg.seed, _TAG_STACK)))
-    post_mse = _holdout_mse([stacked_forward(stacked, x) for x in xs], ys)
+    post_mse = holdout_mse()
 
     paths.checkpoints.mkdir(parents=True, exist_ok=True)
     save_weights(stacked.params, paths.checkpoint(CKPT_STACK))
@@ -429,7 +423,7 @@ def stage_assemble_features(cfg: PipelineConfig) -> None:
                 keys.append(_entry_key(entry))
                 raws.append(_entry_raw(entry, images, cfg.seed))
 
-    mcis = _mci_batch(stacked, np.stack(raws).astype(np.float32))
+    mcis = extract_features_batch(stacked, np.stack(raws))
     paths.features.parent.mkdir(parents=True, exist_ok=True)
     np.savez(paths.features, **dict(zip(keys, mcis)))
 
@@ -438,8 +432,12 @@ def _load_training_pool(cfg: PipelineConfig, paths: RunPaths,
                         stage: str) -> dict[int, list[np.ndarray]]:
     records = _read_records(paths, stage)
     entries = _training_entries(records, cfg.aug_copies)
-    with np.load(_require(paths.features, stage, "finetune-stack")) as npz:
-        return {sid: [npz[_entry_key(e)] for e in es] for sid, es in entries.items()}
+    path = _require(paths.features, stage, "finetune-stack")
+    try:
+        with np.load(path) as npz:
+            return {sid: [npz[_entry_key(e)] for e in es] for sid, es in entries.items()}
+    except zipfile.BadZipFile as exc:
+        raise OSError(f"{path}: corrupt feature file ({exc})") from exc
 
 
 def stage_pretrain_ae(cfg: PipelineConfig) -> None:
@@ -485,7 +483,7 @@ def stage_finetune_e2e(cfg: PipelineConfig) -> None:
 
     raw_pool = {sid: [_entry_raw(e, images, cfg.seed).astype(np.float32) for e in es]
                 for sid, es in entries.items()}
-    static_ds = {sid: list(_mci_batch(stacked, np.stack(raws)))
+    static_ds = {sid: list(extract_features_batch(stacked, np.stack(raws)))
                  for sid, raws in raw_pool.items()}
 
     # constant margin at the schedule's final value throughout this phase
@@ -529,15 +527,8 @@ def stage_finetune_e2e(cfg: PipelineConfig) -> None:
     write_training_log(logs, paths.e2e_log)
 
 
-def _labeled_embeddings(cfg: PipelineConfig, paths: RunPaths, stage: str,
-                        stacked: StackedCED, fe: FEModel,
-                        ) -> tuple[list, list]:
-    """(gallery, probe) labeled embeddings for every manifest sample."""
-    records = _read_records(paths, stage)
-    images = _load_images(paths, records)
-    raws = np.stack([images[(r.subject_id, r.sample_index)] for r in records])
-    mcis = _mci_batch(stacked, raws.astype(np.float32))
-    embs = embed_batch(fe, mcis)
+def _labeled(records: Sequence[ManifestRecord], embs: np.ndarray) -> tuple[list, list]:
+    """(gallery, probe) labeled embeddings, one row of ``embs`` per record."""
     gallery = [(r.subject_id, e) for r, e in zip(records, embs) if r.role == "gallery"]
     probe = [(r.subject_id, e) for r, e in zip(records, embs) if r.role == "probe"]
     return gallery, probe
@@ -547,14 +538,17 @@ def stage_evaluate(cfg: PipelineConfig) -> EvalReport:
     paths = _paths(cfg)
     stage = "evaluate"
     stacked, fe = _load_final_models(cfg, paths, stage)
-    gallery, probe = _labeled_embeddings(cfg, paths, stage, stacked, fe)
-    report = build_report(gallery, probe)
+    records = _read_records(paths, stage)
+    images = _load_images(paths, records)
+    mcis = extract_features_batch(
+        stacked, np.stack([images[(r.subject_id, r.sample_index)] for r in records]))
+    report = build_report(*_labeled(records, embed_batch(fe, mcis)))
     emit_report(report, paths.report)
 
     # baseline: identical features through a freshly initialized extractor
     baseline = build_fe(cfg.fe_config(), seed=derive_seed(cfg.seed, _TAG_BASELINE))
-    gallery_b, probe_b = _labeled_embeddings(cfg, paths, stage, stacked, baseline)
-    emit_report(build_report(gallery_b, probe_b), paths.report_untrained)
+    emit_report(build_report(*_labeled(records, embed_batch(baseline, mcis))),
+                paths.report_untrained)
     return report
 
 
@@ -624,6 +618,16 @@ def run_full_pipeline(cfg: PipelineConfig,
 # ---------------------------------------------------------------------------
 
 
+def _embed_one(stacked: StackedCED, fe: FEModel, image: np.ndarray) -> np.ndarray:
+    """Embedding of one [H,W] image, computed as a batch of one.
+
+    Enrollment and verification both embed through here: a batch of one is
+    bit-identical from call to call, while rows of a larger batch may differ
+    from it in the last float32 bits.
+    """
+    return embed_batch(fe, extract_features_batch(stacked, image[None]))[0]
+
+
 def enroll(cfg: PipelineConfig) -> Path:
     """Embed all gallery samples with the final models into enrollment.vfw.
 
@@ -640,8 +644,7 @@ def enroll(cfg: PipelineConfig) -> Path:
     images = _load_images(paths, records)
     arrays = {
         _sample_tag(r.subject_id, r.sample_index):
-            embed(fe, extract_features(
-                stacked, images[(r.subject_id, r.sample_index)]))
+            _embed_one(stacked, fe, images[(r.subject_id, r.sample_index)])
         for r in records
     }
     save_weights(arrays, paths.enrollment)
@@ -665,6 +668,6 @@ def verify_probe(cfg: PipelineConfig, probe_path: str | Path, threshold: float,
     arrays = load_arrays(enr_path)
     if not arrays:
         raise ContractError(f"enrollment {enr_path} contains no embeddings")
-    probe_emb = embed(fe, extract_features(stacked, read_pgm(probe_path)))
+    probe_emb = _embed_one(stacked, fe, read_pgm(probe_path))
     distance = min(match_score(probe_emb, arrays[name]) for name in sorted(arrays))
     return distance, distance < threshold

@@ -77,10 +77,6 @@ class Tensor:
             raise ContractError(f"item() on tensor of size {self.data.size}")
         return float(self.data.reshape(-1)[0])
 
-    def detach(self) -> "Tensor":
-        """Graph-free tensor sharing the same data buffer."""
-        return Tensor(self.data, requires_grad=False)
-
     def accumulate_grad(self, g: np.ndarray) -> None:
         if not self.requires_grad:
             return
@@ -88,9 +84,6 @@ class Tensor:
             self.grad = np.array(g, dtype=self.data.dtype, copy=True)
         else:
             self.grad += g
-
-    def backward(self) -> None:
-        backward(self)
 
     # -- shape ops ---------------------------------------------------------
 
@@ -201,10 +194,6 @@ class Tensor:
     def __repr__(self) -> str:
         flag = ", grad" if self.requires_grad else ""
         return f"Tensor(shape={self.data.shape}, dtype={self.data.dtype}{flag})"
-
-
-def as_tensor(x, dtype=None) -> Tensor:
-    return x if isinstance(x, Tensor) else Tensor(x, dtype=dtype)
 
 
 def backward(loss: Tensor) -> None:
@@ -514,21 +503,6 @@ def adaptive_avg_pool2d(x: Tensor, out_hw: int) -> Tensor:
     return Tensor._op(out, (x,), bw)
 
 
-def dropout(x: Tensor, rate: float, rng: np.random.Generator, training: bool = True) -> Tensor:
-    """Inverted dropout; identity when rate is 0 or not training."""
-    if not training or rate <= 0.0:
-        return x
-    if not 0.0 < rate < 1.0:
-        raise ContractError(f"dropout rate must be in [0,1), got {rate}")
-    mask = (rng.random(x.data.shape) >= rate).astype(x.data.dtype) / (1.0 - rate)
-    out = x.data * mask
-
-    def bw(g):
-        x.accumulate_grad(g * mask)
-
-    return Tensor._op(out, (x,), bw)
-
-
 # ---------------------------------------------------------------------------
 # Parameters
 # ---------------------------------------------------------------------------
@@ -583,9 +557,6 @@ class ParamSet:
             for name, t in ps.items():
                 out.add(f"{prefix}.{name}" if prefix else name, t)
         return out
-
-    def copy_values(self) -> dict[str, np.ndarray]:
-        return {name: t.data.copy() for name, t in self.items()}
 
     def __repr__(self) -> str:
         total = sum(t.size for t in self._params.values())

@@ -174,17 +174,3 @@ def irt(image: np.ndarray, ray_count: int = 20000, n_max: float = 2.0,
     if peak > 0:
         counts /= peak
     return counts.astype(np.float32)
-
-
-def stack_channels(original: np.ndarray, tcm_img: np.ndarray,
-                   irt_img: np.ndarray) -> np.ndarray:
-    """Assemble the fixed-order [original, tcm, irt] multi-channel image."""
-    o = np.asarray(original, dtype=np.float32)
-    t = np.asarray(tcm_img, dtype=np.float32)
-    r = np.asarray(irt_img, dtype=np.float32)
-    if not (o.ndim == t.ndim == r.ndim == 2):
-        raise DimensionError("stack_channels expects three 2-D images")
-    if not (o.shape == t.shape == r.shape):
-        raise DimensionError(
-            f"stack_channels size mismatch: {o.shape}, {t.shape}, {r.shape}")
-    return np.stack([o, t, r], axis=0)

@@ -22,7 +22,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .errors import ConfigError, ContractError, DimensionError
-from .fe import FEModel, embed, embed_batch, fe_apply, set_trainable
+from .fe import FEModel, embed_batch, fe_apply, set_trainable
 from .optim import Adam
 from .tensor import Tensor, backward, relu
 
@@ -36,10 +36,7 @@ __all__ = [
     "build_batch",
     "margin_at",
     "mine_hard_negatives",
-    "read_training_log",
-    "squared_distance",
     "train_triplet",
-    "triplet_loss",
     "triplet_loss_batch",
     "write_training_log",
 ]
@@ -127,30 +124,13 @@ class MiningResult:
 # ---------------------------------------------------------------------------
 
 
-def squared_distance(a: Tensor, b: Tensor) -> Tensor:
-    """Squared L2 distance between two embedding vectors (differentiable)."""
-    if a.shape != b.shape or len(a.shape) != 1:
-        raise DimensionError(
-            f"squared_distance expects equal 1-D vectors, got {a.shape} vs {b.shape}")
-    diff = a - b
-    return (diff * diff).sum()
-
-
-def triplet_loss(a: Tensor, p: Tensor, hn: Tensor, margin: float) -> Tensor:
-    """Hinge loss ``0.5 * max(0, margin + J_p - J_hn)`` on squared distances.
-
-    Exactly zero, with zero gradient, whenever ``J_hn - J_p >= margin``.
-    """
-    if margin < 0:
-        raise ContractError(f"margin must be non-negative, got {margin}")
-    j_p = squared_distance(a, p)
-    j_hn = squared_distance(a, hn)
-    return relu((j_p + margin) - j_hn) * 0.5
-
-
 def triplet_loss_batch(ea: Tensor, ep: Tensor, ehn: Tensor,
                        margin: float) -> Tensor:
-    """Mean triplet loss over row-aligned embedding batches ``[N, d]``."""
+    """Mean hinge ``0.5 * max(0, margin + J_p - J_hn)`` over row-aligned
+    embedding batches ``[N, d]``, on squared distances ``J``.
+
+    A row whose ``J_hn - J_p >= margin`` adds exactly zero, with zero gradient.
+    """
     if margin < 0:
         raise ContractError(f"margin must be non-negative, got {margin}")
     if not (ea.shape == ep.shape == ehn.shape) or len(ea.shape) != 2:
@@ -184,30 +164,25 @@ def margin_at(step: int, schedule: MarginSchedule) -> float:
 
 
 def mine_hard_negatives(
-    fe: FEModel,
-    anchor: np.ndarray,
-    pool: np.ndarray | Sequence[np.ndarray],
+    anchor_embedding: np.ndarray,
+    pool_embeddings: np.ndarray,
     j_p: float,
     margin: float,
     *,
     k: int = 1,
     seed: int = 0,
     subset_size: int = 32,
-    pool_embeddings: np.ndarray | None = None,
-    anchor_embedding: np.ndarray | None = None,
 ) -> MiningResult:
-    """Scan a seeded random pool subset for margin-violating negatives.
+    """Scan a seeded random subset of the pool's embeddings for
+    margin-violating negatives.
 
     A candidate at squared distance ``J_hn`` from the anchor violates the
     margin when ``J_hn < j_p + margin``.  Returns up to ``k`` violators
     sorted ascending by distance (ties broken by pool index); when none
     violate, the single hardest (smallest-distance) candidate is returned
     with ``fallback=True``.
-
-    ``pool_embeddings``/``anchor_embedding`` allow a caller that has already
-    embedded the samples under the current weights to skip re-embedding.
     """
-    n = len(pool)
+    n = len(pool_embeddings)
     if n == 0:
         raise ContractError("candidate pool is empty")
     if k < 1 or subset_size < 1:
@@ -217,15 +192,7 @@ def mine_hard_negatives(
 
     rng = np.random.default_rng([seed, _TAG_MINE])
     subset = rng.choice(n, size=min(subset_size, n), replace=False)
-
-    if anchor_embedding is None:
-        anchor_embedding = embed(fe, anchor)
-    if pool_embeddings is not None:
-        cand = np.asarray(pool_embeddings)[subset]
-    else:
-        stack = pool if isinstance(pool, np.ndarray) else np.stack(pool)
-        cand = embed_batch(fe, stack[subset])
-
+    cand = np.asarray(pool_embeddings)[subset]
     dists = ((cand - anchor_embedding[None, :]) ** 2).sum(axis=1)
     order = np.lexsort((subset, dists))  # ascending distance, then pool index
     violating = dists[order] < j_p + margin
@@ -305,9 +272,8 @@ def build_batch(
         pool_keys, pool_rows = pools[sid]
 
         res = mine_hard_negatives(
-            fe, dataset[sid][a_idx], pool_rows, j_p, margin,
-            k=1, seed=int(rng.integers(2 ** 31)), subset_size=subset_size,
-            pool_embeddings=pool_rows, anchor_embedding=e_a)
+            e_a, pool_rows, j_p, margin,
+            k=1, seed=int(rng.integers(2 ** 31)), subset_size=subset_size)
         checked += res.checked
         violators += res.violators
         triplets.append(Triplet(
@@ -428,10 +394,3 @@ def write_training_log(log: Sequence[StepLog], path) -> None:
         for entry in log:
             writer.writerow([entry.step, repr(entry.loss), repr(entry.margin),
                              repr(entry.violator_rate), entry.phase])
-
-
-def read_training_log(path) -> list[StepLog]:
-    with open(path, newline="") as fh:
-        rows = list(csv.DictReader(fh))
-    return [StepLog(int(r["step"]), float(r["loss"]), float(r["margin"]),
-                    float(r["violator_rate"]), r["phase"]) for r in rows]

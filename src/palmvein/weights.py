@@ -22,7 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import CorruptWeightsError, WeightsVersionError
-from .tensor import ParamSet, Tensor
+from .tensor import ParamSet
 
 MAGIC = b"VFW1"
 VERSION = 1
@@ -70,9 +70,13 @@ def load_arrays(path: str | Path) -> dict[str, np.ndarray]:
         for _ in range(count):
             (name_len,) = struct.unpack_from("<I", data, pos)
             pos += 4
-            name = data[pos:pos + name_len].decode("utf-8")
-            if len(data[pos:pos + name_len]) != name_len:
+            name_b = data[pos:pos + name_len]
+            if len(name_b) != name_len:
                 raise CorruptWeightsError(f"{path}: truncated record name")
+            try:
+                name = name_b.decode("utf-8")
+            except UnicodeDecodeError as exc:
+                raise CorruptWeightsError(f"{path}: record name is not UTF-8") from exc
             pos += name_len
             (rank,) = struct.unpack_from("<I", data, pos)
             pos += 4
@@ -115,10 +119,3 @@ def load_weights(path: str | Path, params: ParamSet, strict: bool = True) -> Non
                 f"{path}: shape mismatch for {name!r}: "
                 f"file {arr.shape} vs model {t.data.shape}")
         t.data = arr.astype(t.data.dtype, copy=False)
-
-
-def to_paramset(arrays: dict[str, np.ndarray], requires_grad: bool = True) -> ParamSet:
-    ps = ParamSet()
-    for name, arr in arrays.items():
-        ps.add(name, Tensor(arr, requires_grad=requires_grad))
-    return ps

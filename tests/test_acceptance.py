@@ -30,13 +30,12 @@ from palmvein.triplet import (
     MarginSchedule,
     margin_at,
     mine_hard_negatives,
-    squared_distance,
-    triplet_loss,
+    triplet_loss_batch,
 )
 from palmvein.weights import load_arrays, save_weights
 from test_evalkit import brute_crr, brute_di, random_protocol
+from test_fe import fullscale_config
 from test_pipeline import micro_config
-from test_triplet import tiny_fe
 
 DESK_BUDGET_S = 15 * 60
 CED_BUDGET_S = 5 * 60
@@ -80,26 +79,30 @@ def test_criterion_01_gradient_integrity():
 
 def test_criterion_02_loss_exactness():
     """Hinge loss on squared distances reproduces the substitution cases
-    exactly; the inactive hinge has exactly zero gradient."""
+    exactly, one triplet per one-row batch; the inactive hinge has exactly
+    zero gradient."""
     e = np.zeros(16)
     e1, e2 = e.copy(), e.copy()
     e1[0] = 1.0
     e2[1] = 1.0
 
     def t(v):
-        return Tensor(v.copy(), requires_grad=True)
+        return Tensor(v[None].copy(), requires_grad=True)
 
-    assert float(squared_distance(t(e1), t(e1)).data) == 0.0
-    assert float(squared_distance(t(e1), t(e2)).data) == 2.0
-    assert float(squared_distance(t(e1), t(-e1)).data) == 4.0
+    def loss(a, p, hn, margin):
+        return triplet_loss_batch(t(a), t(p), t(hn), margin)
+
+    # hn = a and M = 0 leave 0.5 * J_p: the squared distances themselves
+    assert float(loss(e1, e1, e1, 0.0).data) == 0.0
+    assert float(loss(e1, e2, e1, 0.0).data) == 0.5 * 2.0
+    assert float(loss(e1, -e1, e1, 0.0).data) == 0.5 * 4.0
 
     # a = p = hn, M = 0.3 -> exactly 0.5 * 0.3
-    same = triplet_loss(t(e1), t(e1), t(e1), margin=0.3)
-    assert float(same.data) == 0.5 * 0.3
+    assert float(loss(e1, e1, e1, 0.3).data) == 0.5 * 0.3
 
     # J_p = 0, J_hn = 2, M = 0.5 -> hinge inactive: zero loss, zero gradient
     a, p, hn = t(e1), t(e1), t(e2)
-    inactive = triplet_loss(a, p, hn, margin=0.5)
+    inactive = triplet_loss_batch(a, p, hn, margin=0.5)
     assert float(inactive.data) == 0.0
     backward(inactive)
     for v in (a, p, hn):
@@ -108,14 +111,12 @@ def test_criterion_02_loss_exactness():
     # J_p = 1.0, J_hn = 1.2, M = 0.5 -> 0.15 by direct substitution
     hn_12 = e.copy()
     hn_12[0] = np.sqrt(1.2)
-    direct = triplet_loss(t(e), t(e1), t(hn_12), margin=0.5)
-    assert float(direct.data) == pytest.approx(0.15, abs=1e-12)
+    assert float(loss(e, e1, hn_12, 0.5).data) == pytest.approx(0.15, abs=1e-12)
 
 
 def test_criterion_03_mining_oracle():
     """Miner output equals exhaustive scan on >= 100 randomized instances."""
     rng = np.random.default_rng(303)
-    fe = tiny_fe()
     mismatches = 0
     for i in range(120):
         n = int(rng.integers(3, 40))
@@ -125,10 +126,8 @@ def test_criterion_03_mining_oracle():
         margin = float(rng.uniform(0, 0.6))
         k = int(rng.integers(1, 5))
         subset_size = int(rng.integers(1, n + 1))
-        res = mine_hard_negatives(fe, None, pool, j_p, margin, k=k, seed=i,
-                                  subset_size=subset_size,
-                                  pool_embeddings=pool,
-                                  anchor_embedding=anchor)
+        res = mine_hard_negatives(anchor, pool, j_p, margin, k=k, seed=i,
+                                  subset_size=subset_size)
         # exhaustive scan over the reported subset with the same threshold
         sub = np.array(res.subset)
         d = ((pool[sub] - anchor) ** 2).sum(axis=1)
@@ -275,12 +274,12 @@ def test_criterion_09_embedding_contract(desk_run):
 
     # batch path, untrained weights: the contract is architectural
     rng = np.random.default_rng(909)
-    fe = build_fe(FEConfig.desk(), seed=3)
+    fe = build_fe(FEConfig(), seed=3)
     embs = embed_batch(fe, rng.uniform(size=(17, 3, 64, 64)).astype(np.float32))
     assert np.abs(np.linalg.norm(embs, axis=1) - 1.0).max() <= 1e-5
 
     # full-size preset interface
-    full = build_fe(FEConfig.fullscale(), seed=0)
+    full = build_fe(fullscale_config(), seed=0)
     x = Tensor(rng.uniform(size=(1, 3, 150, 150)).astype(np.float32))
     feat = adaptive_avg_pool2d(trunk_apply(full, x), 7)
     assert feat.shape == (1, 512, 7, 7)

@@ -12,13 +12,10 @@ from palmvein.ced import (
     build_ced,
     ced_apply,
     ced_forward,
-    ced_param_count,
-    extract_features,
     extract_features_batch,
     finetune_stacked,
     stack_ceds,
     stacked_apply,
-    stacked_forward,
     train_ced,
 )
 from palmvein.synth import generate_subject, render_sample
@@ -27,6 +24,28 @@ from palmvein.transforms import tcm
 
 def small_cfg():
     return CEDConfig(depth=2, base_channels=4, input_size=32)
+
+
+def ced_param_count(config: CEDConfig) -> int:
+    """Closed-form parameter count for a given config."""
+    def conv(co, ci, k=3):
+        return co * ci * k * k + co
+
+    total = 0
+    c_in = config.in_channels
+    for level in range(config.depth):
+        c = config.level_channels(level)
+        total += conv(c, c_in) + conv(c, c)
+        c_in = c
+    c_mid = config.base_channels << config.depth
+    total += conv(c_mid, c_in) + conv(c_mid, c_mid)
+    c_below = c_mid
+    for level in reversed(range(config.depth)):
+        c = config.level_channels(level)
+        total += conv(c, c_below + c) + conv(c, c)
+        c_below = c
+    total += conv(1, config.base_channels, k=1)
+    return total
 
 
 class TestConfig:
@@ -81,35 +100,39 @@ class TestBuild:
 class TestForward:
     def test_shape_symmetry_and_range(self, rng):
         model = build_ced(small_cfg(), seed=0)
-        img = rng.uniform(size=(32, 32)).astype(np.float32)
+        img = rng.uniform(size=(1, 32, 32)).astype(np.float32)
         out = ced_forward(model, img)
-        assert out.shape == (32, 32) and out.dtype == np.float32
+        assert out.shape == (1, 32, 32) and out.dtype == np.float32
         assert out.min() >= 0.0 and out.max() <= 1.0
 
     def test_deterministic(self, rng):
         model = build_ced(small_cfg(), seed=0)
-        img = rng.uniform(size=(32, 32)).astype(np.float32)
+        img = rng.uniform(size=(1, 32, 32)).astype(np.float32)
         np.testing.assert_array_equal(ced_forward(model, img), ced_forward(model, img))
 
     def test_batch_matches_single(self, rng):
+        # 40 images span two 32-image forwards; each row matches a batch of one
         model = build_ced(small_cfg(), seed=0)
-        imgs = rng.uniform(size=(3, 32, 32)).astype(np.float32)
+        imgs = rng.uniform(size=(40, 32, 32)).astype(np.float32)
         batch = ced_forward(model, imgs)
-        for i in range(3):
-            np.testing.assert_allclose(batch[i], ced_forward(model, imgs[i]),
+        assert batch.shape == (40, 32, 32)
+        for i in (0, 31, 32, 39):
+            np.testing.assert_allclose(batch[i], ced_forward(model, imgs[i:i + 1])[0],
                                        atol=1e-6)
 
     def test_zero_head_gives_constant_bias(self, rng):
         model = build_ced(small_cfg(), seed=0)
         model.params["head.conv.w"].data[:] = 0.0
         model.params["head.conv.b"].data[:] = 0.25
-        out = ced_forward(model, rng.uniform(size=(32, 32)))
-        np.testing.assert_array_equal(out, np.full((32, 32), 0.25, np.float32))
+        out = ced_forward(model, rng.uniform(size=(2, 32, 32)))
+        np.testing.assert_array_equal(out, np.full((2, 32, 32), 0.25, np.float32))
 
     def test_dim_mismatch_raises(self, rng):
         model = build_ced(small_cfg(), seed=0)
         with pytest.raises(DimensionError):
-            ced_forward(model, rng.uniform(size=(64, 64)))
+            ced_forward(model, rng.uniform(size=(1, 64, 64)))
+        with pytest.raises(DimensionError):
+            ced_forward(model, rng.uniform(size=(32, 32)))  # a batch needs [N,H,W]
         with pytest.raises(DimensionError):
             ced_apply(model, Tensor(rng.uniform(size=(1, 3, 32, 32)).astype(np.float32)))
 
@@ -167,8 +190,8 @@ class TestStack:
 
     def test_forward_is_composition(self, rng):
         stacked = self.make_stack()
-        img = rng.uniform(size=(32, 32)).astype(np.float32)
-        via_stack = stacked_forward(stacked, img)
+        img = rng.uniform(size=(1, 32, 32)).astype(np.float32)
+        via_stack = stacked_apply(stacked, Tensor(img[:, None])).data[:, 0]
         manual = ced_forward(stacked.second, ced_forward(stacked.first, img))
         np.testing.assert_array_equal(via_stack, manual)
         assert via_stack.min() >= 0.0 and via_stack.max() <= 1.0
@@ -191,10 +214,10 @@ class TestStack:
     def test_zero_epoch_finetune_is_identity(self, rng):
         stacked = self.make_stack()
         img = rng.uniform(size=(32, 32)).astype(np.float32)
-        before = stacked_forward(stacked, img)
+        before = extract_features_batch(stacked, img[None])
         log = finetune_stacked(stacked, [(img, img)], TrainHyper(epochs=0))
         assert log == []
-        np.testing.assert_array_equal(stacked_forward(stacked, img), before)
+        np.testing.assert_array_equal(extract_features_batch(stacked, img[None]), before)
 
     def test_finetune_updates_both_networks(self, rng):
         stacked = self.make_stack()
@@ -220,12 +243,13 @@ class TestExtractFeatures:
     def test_channel_stack(self, rng):
         cfg = small_cfg()
         stacked = stack_ceds(build_ced(cfg, seed=1), build_ced(cfg, seed=2))
-        img = rng.uniform(size=(32, 32)).astype(np.float32)
-        feats = extract_features(stacked, img)
-        assert feats.shape == (3, 32, 32)
-        np.testing.assert_array_equal(feats[0], img)
-        np.testing.assert_array_equal(feats[1], ced_forward(stacked.first, img))
-        np.testing.assert_array_equal(feats[2], stacked_forward(stacked, img))
+        img = rng.uniform(size=(1, 32, 32)).astype(np.float32)
+        feats = extract_features_batch(stacked, img)
+        assert feats.shape == (1, 3, 32, 32)
+        learned_tcm = ced_forward(stacked.first, img)
+        np.testing.assert_array_equal(feats[:, 0], img)
+        np.testing.assert_array_equal(feats[:, 1], learned_tcm)
+        np.testing.assert_array_equal(feats[:, 2], ced_forward(stacked.second, learned_tcm))
 
     def test_batch_variant_matches(self, rng):
         cfg = small_cfg()
@@ -234,11 +258,13 @@ class TestExtractFeatures:
         batch = extract_features_batch(stacked, imgs)
         assert batch.shape == (3, 3, 32, 32)
         for i in range(3):
-            np.testing.assert_allclose(batch[i], extract_features(stacked, imgs[i]),
-                                       atol=1e-6)
+            one = extract_features_batch(stacked, imgs[i:i + 1])[0]
+            np.testing.assert_allclose(batch[i], one, atol=1e-6)
 
     def test_dim_mismatch(self, rng):
         cfg = small_cfg()
         stacked = stack_ceds(build_ced(cfg, seed=1), build_ced(cfg, seed=2))
         with pytest.raises(DimensionError):
-            extract_features(stacked, rng.uniform(size=(3, 32, 32)))
+            extract_features_batch(stacked, rng.uniform(size=(32, 32)))
+        with pytest.raises(DimensionError):
+            extract_features_batch(stacked, rng.uniform(size=(2, 3, 32, 32)))

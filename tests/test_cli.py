@@ -3,9 +3,13 @@
 Calls main() in-process so stdout/stderr are captured and runs stay fast.
 """
 
+import shutil
+
+import numpy as np
 import pytest
 
 from palmvein.cli import build_parser, main
+from palmvein.weights import save_weights
 from test_pipeline import micro_config
 
 
@@ -126,6 +130,18 @@ class TestVerify:
         assert main(["--config", cfg_file, "verify", "--probe", str(probe),
                      "--enrollment", str(junk)]) == 2
 
+    def test_non_utf8_enrollment_name_exit_2(self, finished_cli_run, tmp_path, capsys):
+        cfg, cfg_file = finished_cli_run
+        probe = cfg.out_dir / "data" / "s0000_i00.pgm"
+        bad = tmp_path / "bad.vfw"
+        save_weights({"ab": np.zeros(16, np.float32)}, bad)
+        raw = bytearray(bad.read_bytes())
+        raw[16:18] = b"\xff\xfe"  # the record name's two bytes
+        bad.write_bytes(bytes(raw))
+        assert main(["--config", cfg_file, "verify", "--probe", str(probe),
+                     "--enrollment", str(bad)]) == 2
+        assert "UTF-8" in capsys.readouterr().err
+
     def test_bad_threshold_exit_1(self, finished_cli_run):
         cfg, cfg_file = finished_cli_run
         probe = cfg.out_dir / "data" / "s0000_i00.pgm"
@@ -137,6 +153,18 @@ class TestVerify:
         cfg_file = tmp_path / "c.cfg"
         cfg_file.write_text(cfg.to_text(), encoding="utf-8")
         assert main(["--config", str(cfg_file), "enroll"]) == 1
+
+
+class TestCorruptArtifacts:
+    def test_truncated_features_exit_2(self, finished_cli_run, tmp_path, capsys):
+        cfg, cfg_file = finished_cli_run
+        out = tmp_path / "out"
+        shutil.copytree(cfg.out_dir, out)
+        features = out / "mci" / "features.npz"
+        features.write_bytes(features.read_bytes()[:-100])
+        assert main(["--config", cfg_file, "--out", str(out), "train-triplet"]) == 2
+        err = capsys.readouterr().err
+        assert "train-triplet" in err and "features.npz" in err
 
 
 class TestGradcheck:

@@ -6,7 +6,6 @@ import pytest
 from palmvein import ContractError, DimensionError
 from palmvein.dataio import (
     ManifestRecord,
-    load_split,
     read_manifest,
     read_pgm,
     write_manifest,
@@ -81,16 +80,3 @@ class TestManifest:
         p.write_text("0\t0\tgallery\tA\n")
         with pytest.raises(ContractError):
             read_manifest(p)
-
-    def test_load_split(self, tmp_path, rng):
-        records = []
-        for sid in range(2):
-            for idx in range(2):
-                rel = f"s{sid}_{idx}.pgm"
-                write_pgm(tmp_path / rel, rng.uniform(size=(8, 8)))
-                records.append(ManifestRecord(sid, idx, "gallery" if idx == 0 else "probe",
-                                              "A", rel))
-        gal, prb = load_split(tmp_path, records)
-        assert set(gal) == {(0, 0), (1, 0)}
-        assert set(prb) == {(0, 1), (1, 1)}
-        assert gal[(0, 0)].shape == (8, 8)

@@ -39,7 +39,7 @@ class TestCheckGradients:
         ps, loss_fn = small_net(np.random.default_rng(0))
         report = check_gradients(ps, loss_fn, tolerance=1e-2,
                                  max_elements_per_param=10)
-        assert report.passed, report.summary()
+        assert report.passed, report.checks
         assert report.worst < 1e-2
         assert all(c.has_gradient for c in report.checks)
 
@@ -61,7 +61,6 @@ class TestCheckGradients:
         report = check_gradients(ps, loss_fn, tolerance=1e-2)
         assert not report.passed
         assert report.checks[0].max_rel_error > 0.2
-        assert "FAIL" in report.summary()
 
     def test_frozen_param_reported_without_gradient(self):
         ps, loss_fn = small_net(np.random.default_rng(2))
@@ -70,7 +69,7 @@ class TestCheckGradients:
                                  max_elements_per_param=4)
         by_name = {c.name: c for c in report.checks}
         assert not by_name["conv.w"].has_gradient
-        assert "no gradient" in by_name["conv.w"].line(1e-2)
+        assert by_name["conv.w"].checked_elements == 0
         assert by_name["fc.w"].has_gradient
         assert report.passed  # frozen params are not scored
 

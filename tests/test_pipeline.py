@@ -5,6 +5,7 @@ subjects x 2 samples, 32px) so the whole file runs in seconds."""
 import numpy as np
 import pytest
 
+import palmvein.ced as ced_module
 from palmvein import (
     ContractError,
     PipelineConfig,
@@ -24,7 +25,9 @@ from palmvein.pipeline import (
     CKPT_FE_TRIPLET,
     CKPT_STACK,
     STAGE_NAMES,
+    stage_evaluate,
 )
+from palmvein.dataio import read_manifest
 from palmvein.weights import load_arrays
 
 
@@ -99,6 +102,27 @@ class TestFullRun:
         cfg, _, _ = finished_run
         results = run_stages(cfg, [10])
         assert results[10].counts == (3, 6)
+
+
+class TestEvaluate:
+    def test_one_ced_pass_per_image(self, finished_run, monkeypatch):
+        # the trained and the untrained-baseline reports share one set of
+        # feature images, so each CED sees every manifest image exactly once
+        cfg, paths, _ = finished_run
+        reports = {p: (p / "metrics.csv").read_bytes()
+                   for p in (paths.report, paths.report_untrained)}
+        images = []
+        original = ced_module.ced_apply
+
+        def counting(model, x):
+            images.append(x.shape[0])
+            return original(model, x)
+
+        monkeypatch.setattr(ced_module, "ced_apply", counting)
+        stage_evaluate(cfg)
+        assert sum(images) == 2 * len(read_manifest(paths.manifest))
+        for p, before in reports.items():
+            assert (p / "metrics.csv").read_bytes() == before
 
 
 class TestDeterminism:

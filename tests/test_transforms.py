@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from palmvein import ContractError, DimensionError
-from palmvein.transforms import irt, stack_channels, tcm
+from palmvein.transforms import irt, tcm
 
 OFFSETS = [(-1, -1), (-1, 0), (-1, 1), (0, 1), (1, 1), (1, 0), (1, -1), (0, -1)]
 
@@ -126,22 +126,3 @@ class TestIrt:
     def test_tiny_image(self):
         out = irt(np.ones((4, 4)), ray_count=200, seed=2)
         assert out.shape == (4, 4) and out.max() == 1.0
-
-
-class TestStackChannels:
-    def test_order_and_shape(self):
-        rng = np.random.default_rng(6)
-        o, t, r = (rng.uniform(size=(64, 64)) for _ in range(3))
-        out = stack_channels(o, t, r)
-        assert out.shape == (3, 64, 64) and out.dtype == np.float32
-        np.testing.assert_array_equal(out[0], o.astype(np.float32))
-        np.testing.assert_array_equal(out[1], t.astype(np.float32))
-        np.testing.assert_array_equal(out[2], r.astype(np.float32))
-
-    def test_size_mismatch_raises(self):
-        with pytest.raises(DimensionError):
-            stack_channels(np.zeros((4, 4)), np.zeros((4, 5)), np.zeros((4, 4)))
-
-    def test_non_2d_raises(self):
-        with pytest.raises(DimensionError):
-            stack_channels(np.zeros((2, 4, 4)), np.zeros((4, 4)), np.zeros((4, 4)))

@@ -1,6 +1,8 @@
 """Triplet-objective tests: bit-level hinge substitution, margin schedule
 endpoints, mining vs exhaustive scan, batch invariants, staged training."""
 
+import csv
+
 import numpy as np
 import pytest
 
@@ -13,21 +15,20 @@ from palmvein import (
     backward,
     check_gradients,
 )
-from palmvein.fe import FEConfig, standard_stages, build_fe, embed, embed_batch
+from palmvein.fe import FEConfig, standard_stages, build_fe, embed_batch
 from palmvein.triplet import (
     MarginSchedule,
+    StepLog,
     Triplet,
     TripletHyper,
     build_batch,
     margin_at,
     mine_hard_negatives,
-    read_training_log,
-    squared_distance,
     train_triplet,
-    triplet_loss,
     triplet_loss_batch,
     write_training_log,
 )
+from test_fe import param_values
 
 
 def tiny_fe(seed=0, size=32):
@@ -41,97 +42,108 @@ def unit(rng, d=16):
     return v / np.linalg.norm(v)
 
 
+def row(v):
+    """One-row batch [1, d] of vector ``v``."""
+    return Tensor(np.asarray(v, dtype=np.float64)[None].copy())
+
+
+def loss1(a, p, hn, margin):
+    """Triplet loss of a single triplet, as a one-row batch."""
+    return float(triplet_loss_batch(row(a), row(p), row(hn), margin).data)
+
+
+def squared_distance(a, b):
+    """Squared distance as the loss sees it: hn = a and margin 0 leave 0.5 * J_p."""
+    return 2.0 * loss1(a, b, a, 0.0)
+
+
 class TestSquaredDistance:
     def test_trivial_unit_vector_cases(self):
         e = np.zeros(8)
         a = e.copy(); a[0] = 1.0
         b = e.copy(); b[1] = 1.0
-        assert float(squared_distance(Tensor(a), Tensor(a.copy())).data) == 0.0
-        assert float(squared_distance(Tensor(a), Tensor(b)).data) == 2.0
-        assert float(squared_distance(Tensor(a), Tensor(-a)).data) == 4.0
+        assert squared_distance(a, a.copy()) == 0.0
+        assert squared_distance(a, b) == 2.0
+        assert squared_distance(a, -a) == 4.0
 
     def test_matches_numpy_oracle(self, rng):
         for _ in range(50):
             a, b = rng.normal(size=(2, 24))
-            got = float(squared_distance(Tensor(a), Tensor(b)).data)
-            assert got == np.sum((a - b) ** 2)
+            assert squared_distance(a, b) == np.sum((a - b) ** 2)
 
     def test_dim_mismatch(self, rng):
         with pytest.raises(DimensionError):
-            squared_distance(Tensor(rng.normal(size=4)), Tensor(rng.normal(size=5)))
+            triplet_loss_batch(row(rng.normal(size=4)), row(rng.normal(size=5)),
+                               row(rng.normal(size=4)), 0.1)
         with pytest.raises(DimensionError):
-            squared_distance(Tensor(rng.normal(size=(2, 4))),
-                             Tensor(rng.normal(size=(2, 4))))
+            v = Tensor(rng.normal(size=4))
+            triplet_loss_batch(v, v, v, 0.1)  # a vector is not a [N,d] batch
 
 
 class TestTripletLoss:
     def test_trivial_substitution_cases(self, rng):
         v = unit(rng)
-        same = triplet_loss(Tensor(v), Tensor(v.copy()), Tensor(v.copy()), 0.3)
-        assert float(same.data) == pytest.approx(0.15, abs=1e-12)
+        assert loss1(v, v.copy(), v.copy(), 0.3) == pytest.approx(0.15, abs=1e-12)
 
         # J_p = 0, J_hn = 2 (orthogonal), margin 0.5 -> hinge inactive
         a = np.zeros(8); a[0] = 1.0
         hn = np.zeros(8); hn[1] = 1.0
-        assert float(triplet_loss(Tensor(a), Tensor(a.copy()), Tensor(hn), 0.5).data) == 0.0
+        assert loss1(a, a.copy(), hn, 0.5) == 0.0
 
     def test_bit_level_substitution(self, rng):
         for _ in range(100):
-            a, p, hn = (Tensor(unit(rng)) for _ in range(3))
+            a, p, hn = (unit(rng) for _ in range(3))
             m = float(rng.uniform(0, 0.6))
-            j_p = float(squared_distance(a, p).data)
-            j_hn = float(squared_distance(a, hn).data)
+            j_p = squared_distance(a, p)
+            j_hn = squared_distance(a, hn)
             expected = 0.5 * max(0.0, (j_p + m) - j_hn)
-            assert float(triplet_loss(a, p, hn, m).data) == expected
+            assert loss1(a, p, hn, m) == expected
 
     def test_negative_margin_rejected(self, rng):
-        t = Tensor(unit(rng))
+        t = row(unit(rng))
         with pytest.raises(ContractError):
-            triplet_loss(t, t, t, -0.1)
+            triplet_loss_batch(t, t, t, -0.1)
         with pytest.raises(ContractError):
             triplet_loss_batch(Tensor(np.ones((2, 4))), Tensor(np.ones((2, 4))),
                                Tensor(np.ones((2, 4))), -1.0)
 
     def test_inactive_hinge_zero_gradient(self):
-        a = Tensor(np.array([1.0, 0.0, 0.0]), requires_grad=True)
-        p = Tensor(np.array([1.0, 0.0, 0.0]), requires_grad=True)   # J_p = 0
-        hn = Tensor(np.array([0.0, 1.0, 0.0]), requires_grad=True)  # J_hn = 2
-        loss = triplet_loss(a, p, hn, 0.5)
+        a = Tensor(np.array([[1.0, 0.0, 0.0]]), requires_grad=True)
+        p = Tensor(np.array([[1.0, 0.0, 0.0]]), requires_grad=True)   # J_p = 0
+        hn = Tensor(np.array([[0.0, 1.0, 0.0]]), requires_grad=True)  # J_hn = 2
+        loss = triplet_loss_batch(a, p, hn, 0.5)
         assert float(loss.data) == 0.0
         backward(loss)
         for t in (a, p, hn):
-            np.testing.assert_array_equal(t.grad, np.zeros(3))
+            np.testing.assert_array_equal(t.grad, np.zeros((1, 3)))
 
     def test_active_gradient_matches_fd(self, rng):
-        a = Tensor(unit(rng), requires_grad=True)
-        p = Tensor(unit(rng), requires_grad=True)
-        hn = Tensor(unit(rng), requires_grad=True)
+        a, p, hn = (Tensor(np.stack([unit(rng) for _ in range(4)]), requires_grad=True)
+                    for _ in range(3))
         params = ParamSet()
         for name, t in (("a", a), ("p", p), ("hn", hn)):
             params.add(name, t)
-        report = check_gradients(params, lambda: triplet_loss(a, p, hn, 3.0),
+        report = check_gradients(params, lambda: triplet_loss_batch(a, p, hn, 3.0),
                                  tolerance=1e-6)
         assert report.passed
 
     def test_gradient_step_decreases_objective(self, rng):
         for trial in range(10):
-            a = Tensor(unit(rng), requires_grad=True)
-            p, hn = Tensor(unit(rng)), Tensor(unit(rng))
+            a = Tensor(unit(rng)[None], requires_grad=True)
+            p, hn = unit(rng), unit(rng)
             m = 3.0  # large margin keeps the hinge active
-            loss = triplet_loss(a, p, hn, m)
+            loss = triplet_loss_batch(a, row(p), row(hn), m)
             assert float(loss.data) > 0
             backward(loss)
-            stepped = Tensor(a.data - 1e-3 * a.grad)
-            before = float((squared_distance(a, p) - squared_distance(a, hn)).data)
-            after = float((squared_distance(stepped, p)
-                           - squared_distance(stepped, hn)).data)
+            stepped = a.data[0] - 1e-3 * a.grad[0]
+            before = squared_distance(a.data[0], p) - squared_distance(a.data[0], hn)
+            after = squared_distance(stepped, p) - squared_distance(stepped, hn)
             assert after < before
 
     def test_loss_bound_on_unit_sphere(self, rng):
         m = 0.5
         for _ in range(200):
-            a, p, hn = (Tensor(unit(rng)) for _ in range(3))
-            d = float(triplet_loss(a, p, hn, m).data)
+            d = loss1(unit(rng), unit(rng), unit(rng), m)
             assert 0.0 <= d <= (m + 4.0) / 2 + 1e-12
 
     def test_batch_equals_mean_of_singles(self, rng):
@@ -139,8 +151,7 @@ class TestTripletLoss:
         ea, ep, ehn = (np.stack([unit(rng) for _ in range(n)]) for _ in range(3))
         m = 0.4
         batch = float(triplet_loss_batch(Tensor(ea), Tensor(ep), Tensor(ehn), m).data)
-        singles = [float(triplet_loss(Tensor(ea[i]), Tensor(ep[i]),
-                                      Tensor(ehn[i]), m).data) for i in range(n)]
+        singles = [loss1(ea[i], ep[i], ehn[i], m) for i in range(n)]
         assert batch == pytest.approx(np.mean(singles), abs=1e-14)
 
 
@@ -201,22 +212,18 @@ def embedding_pool(dists):
 
 class TestMining:
     def test_trivial_threshold_case(self):
-        fe = tiny_fe()
         emb = embedding_pool([0.4, 0.9, 0.7])
-        res = mine_hard_negatives(
-            fe, None, emb, j_p=0.3, margin=0.5, k=3, seed=0, subset_size=8,
-            pool_embeddings=emb, anchor_embedding=np.zeros(16))
+        res = mine_hard_negatives(np.zeros(16), emb, j_p=0.3, margin=0.5, k=3, seed=0,
+                                  subset_size=8)
         assert res.negatives == (0, 2)       # 0.4 and 0.7 violate threshold 0.8
         assert res.distances == pytest.approx((0.4, 0.7), abs=1e-12)
         assert not res.fallback
         assert res.violators == 2 and res.checked == 3
 
     def test_no_violator_fallback(self):
-        fe = tiny_fe()
         emb = embedding_pool([3.9, 3.9, 3.9])
-        res = mine_hard_negatives(
-            fe, None, emb, j_p=0.1, margin=0.5, k=2, seed=0, subset_size=8,
-            pool_embeddings=emb, anchor_embedding=np.zeros(16))
+        res = mine_hard_negatives(np.zeros(16), emb, j_p=0.1, margin=0.5, k=2, seed=0,
+                                  subset_size=8)
         assert res.fallback
         assert len(res.negatives) == 1
         assert res.negatives[0] == 0         # tie broken by lowest pool index
@@ -224,17 +231,15 @@ class TestMining:
 
     def test_matches_exhaustive_scan(self, rng):
         fe = tiny_fe()
-        pool = rng.uniform(size=(20, 3, 32, 32)).astype(np.float32)
-        anchor = rng.uniform(size=(3, 32, 32)).astype(np.float32)
+        pool = embed_batch(fe, rng.uniform(size=(20, 3, 32, 32)).astype(np.float32))
+        e_a = embed_batch(fe, rng.uniform(size=(1, 3, 32, 32)).astype(np.float32))[0]
         for i in range(100):
             j_p = float(rng.uniform(0, 1.5))
             margin = float(rng.uniform(0, 0.6))
             k = int(rng.integers(1, 4))
-            res = mine_hard_negatives(fe, anchor, pool, j_p, margin,
-                                      k=k, seed=i, subset_size=16)
+            res = mine_hard_negatives(e_a, pool, j_p, margin, k=k, seed=i, subset_size=16)
             sub = np.array(res.subset)
-            e_a = embed(fe, anchor)
-            d = ((embed_batch(fe, pool[sub]) - e_a) ** 2).sum(axis=1)
+            d = ((pool[sub] - e_a) ** 2).sum(axis=1)
             order = np.lexsort((sub, d))
             n_viol = int((d[order] < j_p + margin).sum())
             if n_viol == 0:
@@ -247,23 +252,21 @@ class TestMining:
             assert res.violators == n_viol
 
     def test_deterministic(self, rng):
-        fe = tiny_fe()
-        pool = rng.uniform(size=(12, 3, 32, 32)).astype(np.float32)
-        anchor = rng.uniform(size=(3, 32, 32)).astype(np.float32)
-        a = mine_hard_negatives(fe, anchor, pool, 0.5, 0.4, seed=9, subset_size=6)
-        b = mine_hard_negatives(fe, anchor, pool, 0.5, 0.4, seed=9, subset_size=6)
+        pool = rng.normal(size=(12, 16))
+        anchor = rng.normal(size=16)
+        a = mine_hard_negatives(anchor, pool, 0.5, 0.4, seed=9, subset_size=6)
+        b = mine_hard_negatives(anchor, pool, 0.5, 0.4, seed=9, subset_size=6)
         assert a == b
 
     def test_bad_inputs(self, rng):
-        fe = tiny_fe()
-        anchor = rng.uniform(size=(3, 32, 32)).astype(np.float32)
-        pool = rng.uniform(size=(4, 3, 32, 32)).astype(np.float32)
+        anchor = rng.normal(size=16)
+        pool = rng.normal(size=(4, 16))
         with pytest.raises(ContractError):
-            mine_hard_negatives(fe, anchor, np.zeros((0, 3, 32, 32)), 0.5, 0.4)
+            mine_hard_negatives(anchor, np.zeros((0, 16)), 0.5, 0.4)
         with pytest.raises(ContractError):
-            mine_hard_negatives(fe, anchor, pool, 0.5, 0.4, k=0)
+            mine_hard_negatives(anchor, pool, 0.5, 0.4, k=0)
         with pytest.raises(ContractError):
-            mine_hard_negatives(fe, anchor, pool, 0.5, -0.4)
+            mine_hard_negatives(anchor, pool, 0.5, -0.4)
 
 
 def make_dataset(rng, n_subjects=4, n_samples=3, size=32, noise=0.05):
@@ -334,8 +337,8 @@ class TestTraining:
     def test_frozen_phase_exact_and_head_trains(self, rng):
         fe = tiny_fe()
         data = make_dataset(rng)
-        trunk_before = fe.trunk.copy_values()
-        head_before = fe.head.copy_values()
+        trunk_before = param_values(fe.trunk)
+        head_before = param_values(fe.head)
         sched = MarginSchedule(total_steps=4)
         log = train_triplet(fe, data, sched,
                             TripletHyper(batch_size=8, seed=0, subset_size=8,
@@ -349,7 +352,7 @@ class TestTraining:
     def test_phase_switch_by_cap_then_trunk_trains(self, rng):
         fe = tiny_fe()
         data = make_dataset(rng)
-        trunk_before = fe.trunk.copy_values()
+        trunk_before = param_values(fe.trunk)
         sched = MarginSchedule(total_steps=8)
         log = train_triplet(fe, data, sched,
                             TripletHyper(batch_size=8, seed=0, subset_size=8,
@@ -396,6 +399,9 @@ class TestTraining:
                             TripletHyper(batch_size=4, subset_size=4))
         path = tmp_path / "log.csv"
         write_training_log(log, path)
-        assert read_training_log(path) == log
+        with open(path, newline="") as fh:
+            back = [StepLog(int(r["step"]), float(r["loss"]), float(r["margin"]),
+                            float(r["violator_rate"]), r["phase"]) for r in csv.DictReader(fh)]
+        assert back == log
         header = path.read_text().splitlines()[0]
         assert header == "step,loss,margin,violator_rate,phase"

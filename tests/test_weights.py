@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from palmvein import CorruptWeightsError, ParamSet, Tensor, WeightsVersionError
-from palmvein.weights import load_arrays, load_weights, save_weights, to_paramset
+from palmvein.weights import load_arrays, load_weights, save_weights
 
 
 def sample_params(rng):
@@ -42,7 +42,7 @@ class TestRoundTrip:
         ps = sample_params(rng)
         p1, p2 = tmp_path / "a.vfw", tmp_path / "b.vfw"
         save_weights(ps, p1)
-        save_weights(to_paramset(load_arrays(p1)), p2)
+        save_weights(load_arrays(p1), p2)
         assert p1.read_bytes() == p2.read_bytes()
 
     def test_header_layout(self, tmp_path):
@@ -87,6 +87,15 @@ class TestRejection:
         with pytest.raises(CorruptWeightsError):
             load_arrays(tmp_path / "cut.vfw")
 
+    def test_non_utf8_name(self, tmp_path):
+        p = tmp_path / "n.vfw"
+        save_weights({"ab": np.zeros(2, np.float32)}, p)
+        raw = bytearray(p.read_bytes())
+        raw[16:18] = b"\xff\xfe"  # the record name's two bytes
+        p.write_bytes(bytes(raw))
+        with pytest.raises(CorruptWeightsError, match="UTF-8"):
+            load_arrays(p)
+
     def test_trailing_garbage(self, tmp_path, rng):
         p = tmp_path / "g.vfw"
         save_weights(sample_params(rng), p)
@@ -116,7 +125,7 @@ class TestRejection:
         save_weights(ps, p)
         (tmp_path / "cut.vfw").write_bytes(p.read_bytes()[:-10])
         fresh = sample_params(np.random.default_rng(1))
-        before = fresh.copy_values()
+        before = {name: t.data.copy() for name, t in fresh.items()}
         with pytest.raises(CorruptWeightsError):
             load_weights(tmp_path / "cut.vfw", fresh)
         for name, arr in before.items():
