@@ -102,7 +102,7 @@ def _conv_block(p: ParamSet, name: str, x: Tensor) -> Tensor:
 
 
 def ced_apply(model: CEDModel, x: Tensor) -> Tensor:
-    """Graph-building forward pass on a [N,C,H,W] (or [C,H,W]) tensor."""
+    """Graph-building forward pass on a [N,C,H,W] tensor."""
     cfg = model.config
     if x.shape[-1] != cfg.input_size or x.shape[-2] != cfg.input_size:
         raise DimensionError(

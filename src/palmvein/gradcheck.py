@@ -172,10 +172,15 @@ def _primitive_cases() -> list[tuple[str, Callable]]:
     from .triplet import triplet_loss_batch
 
     def conv_case(rng, trial):
-        x, w, b = _t64(rng, 2, 2, 6, 6), _t64(rng, 3, 2, 3, 3), _t64(rng, 3)
-        padding = "same" if trial % 2 == 0 else "valid"
-        out_hw = 6 if padding == "same" else 4
-        t = _const(rng, 2, 3, out_hw, out_hw)
+        # trials cycle through 3x3 same and valid, a rectangular same kernel
+        # on a non-square input (where a wrap-around column bug would show)
+        # and a 1x1 kernel
+        h, w_, kh, kw, padding = ((6, 6, 3, 3, "same"), (6, 6, 3, 3, "valid"),
+                                  (9, 6, 7, 3, "same"), (5, 4, 1, 1, "same"))[trial % 4]
+        x, w, b = _t64(rng, 2, 2, h, w_), _t64(rng, 3, 2, kh, kw), _t64(rng, 3)
+        if padding == "valid":
+            h, w_ = h - kh + 1, w_ - kw + 1
+        t = _const(rng, 2, 3, h, w_)
         return _params_of(x=x, w=w, b=b), lambda: mse_loss(conv2d(x, w, b, padding), t)
 
     def linear_case(rng, trial):

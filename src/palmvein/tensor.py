@@ -12,7 +12,6 @@ from __future__ import annotations
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import ContractError, DegenerateVectorError, DimensionError
 
@@ -234,21 +233,46 @@ def backward(loss: Tensor) -> None:
 # ---------------------------------------------------------------------------
 
 
-def _to_4d(x: np.ndarray, what: str) -> tuple[np.ndarray, bool]:
-    if x.ndim == 3:
-        return x[None], True
-    if x.ndim == 4:
-        return x, False
-    raise DimensionError(f"{what} must be [C,H,W] or [N,C,H,W], got {x.ndim} dims")
+def _check_4d(x: np.ndarray, what: str) -> np.ndarray:
+    if x.ndim != 4:
+        raise DimensionError(f"{what} must be [N,C,H,W], got {x.ndim} dims")
+    return x
+
+
+def _windows(x: np.ndarray, pads: tuple[int, int, int, int], kh: int, kw: int):
+    """Zero-pad x [N,C,H,W] plus a spare bottom row and flatten each image's rows.
+
+    Returns Ho, the padded width Wp and, per kernel offset (i, j) row-major,
+    its window: the [N,C,Ho*Wp] view from i*Wp + j. Each window row ends in
+    kw-1 wrap-around columns; the spare row keeps the last window in bounds.
+    """
+    pt, pb, pl, pr = pads
+    n, c, h, w = x.shape
+    hp, wp = h + pt + pb, w + pl + pr
+    xp = np.zeros((n, c, hp + 1, wp), dtype=x.dtype)
+    xp[:, :, pt:pt + h, pl:pl + w] = x
+    ho, xf = hp - kh + 1, xp.reshape(n, c, -1)
+    return ho, wp, [xf[:, :, i * wp + j:][:, :, :ho * wp] for i in range(kh) for j in range(kw)]
 
 
 def _conv_core(x: np.ndarray, w: np.ndarray, pads: tuple[int, int, int, int]) -> np.ndarray:
-    """Cross-correlate x [N,C,H,W] with w [Co,C,kh,kw] under explicit padding."""
-    pt, pb, pl, pr = pads
-    kh, kw = w.shape[2], w.shape[3]
-    xp = np.pad(x, ((0, 0), (0, 0), (pt, pb), (pl, pr))) if any(pads) else x
-    win = sliding_window_view(xp, (kh, kw), axis=(2, 3))
-    return np.einsum("nchwij,ocij->nohw", win, w, optimize=True)
+    """Cross-correlate x [N,C,H,W] with w [Co,C,kh,kw] under explicit padding.
+
+    Per image, one [Co,C] @ [C,Ho*Wp] GEMM per kernel offset accumulates on the
+    padded width: no unfolded copy, and an image's result ignores its batch.
+    """
+    co, c, kh, kw = w.shape
+    ho, wp, wins = _windows(x, pads, kh, kw)
+    taps = np.ascontiguousarray(w.transpose(2, 3, 0, 1)).reshape(kh * kw, co, c)
+    out = np.empty((x.shape[0], co, ho, wp - kw + 1), dtype=np.result_type(x, w))
+    acc, tmp = np.empty((2, co, ho * wp), dtype=out.dtype)
+    for b in range(x.shape[0]):
+        np.matmul(taps[0], wins[0][b], out=acc)
+        for tap, win in zip(taps[1:], wins[1:]):
+            np.matmul(tap, win[b], out=tmp)
+            acc += tmp
+        out[b] = acc.reshape(co, ho, wp)[:, :, :out.shape[3]]
+    return out
 
 
 def _conv_pads(padding: str, kh: int, kw: int) -> tuple[int, int, int, int]:
@@ -261,12 +285,12 @@ def _conv_pads(padding: str, kh: int, kw: int) -> tuple[int, int, int, int]:
 
 
 def conv2d(x: Tensor, weight: Tensor, bias: Tensor, padding: str = "same") -> Tensor:
-    """2-D convolution (stride 1) over [C,H,W] or [N,C,H,W] input.
+    """2-D convolution (stride 1) over [N,C,H,W] input.
 
     padding='same' preserves spatial dims for odd kernels; 'valid' yields
     H-kh+1 by W-kw+1. Differentiable w.r.t. input, weight and bias.
     """
-    xd, squeezed = _to_4d(x.data, "conv2d input")
+    xd = _check_4d(x.data, "conv2d input")
     wd, bd = weight.data, bias.data
     if wd.ndim != 4:
         raise DimensionError(f"conv2d kernel must be [Co,Ci,kh,kw], got {wd.ndim} dims")
@@ -283,98 +307,77 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor, padding: str = "same") -> Te
 
     out = _conv_core(xd, wd, pads)
     out += bd[None, :, None, None]
-    ho, wo = out.shape[2], out.shape[3]
+    wo = out.shape[3]
 
     def bw(g):
-        if g.ndim == 3:
-            g = g[None]
         bias.accumulate_grad(g.sum(axis=(0, 2, 3)))
         if weight.requires_grad:
-            pt, pb, pl, pr = pads
-            xp = np.pad(xd, ((0, 0), (0, 0), (pt, pb), (pl, pr))) if any(pads) else xd
-            # einsum cannot pairwise-contract this 6-axis pattern; one GEMM
-            # per kernel position is several times faster
-            gw = np.empty_like(wd)
-            for i in range(kh):
-                for j in range(kw):
-                    gw[:, :, i, j] = np.tensordot(
-                        g, xp[:, :, i:i + ho, j:j + wo], axes=([0, 2, 3], [0, 2, 3]))
-            weight.accumulate_grad(gw)
+            # the forward's offsets with the operands swapped: g laid out on
+            # the padded width, zero in the wrap-around columns
+            _, wp, wins = _windows(xd, pads, kh, kw)
+            gf = np.pad(g, ((0, 0), (0, 0), (0, 0), (0, wp - wo))).reshape(n, co, -1)
+            gw = [np.matmul(gf, win.transpose(0, 2, 1)).sum(axis=0) for win in wins]
+            weight.accumulate_grad(np.stack(gw, axis=-1).reshape(wd.shape))
         if x.requires_grad:
             # grad wrt input = correlation of upstream grad with the flipped,
             # channel-swapped kernel under complementary padding
-            wflip = np.ascontiguousarray(wd[:, :, ::-1, ::-1].transpose(1, 0, 2, 3))
+            wflip = wd[:, :, ::-1, ::-1].transpose(1, 0, 2, 3)
             gpads = (kh - 1 - pads[0], kh - 1 - pads[1], kw - 1 - pads[2], kw - 1 - pads[3])
-            gx = _conv_core(g, wflip, gpads)
-            x.accumulate_grad(gx[0] if squeezed else gx)
+            x.accumulate_grad(_conv_core(g, wflip, gpads))
 
-    out = np.ascontiguousarray(out[0] if squeezed else out)
     return Tensor._op(out, (x, weight, bias), bw)
 
 
 def maxpool2(x: Tensor) -> Tensor:
-    """2x2 max pooling, stride 2; odd trailing rows/cols are dropped.
+    """2x2 max pooling, stride 2, as the maximum of the four strided corner views.
 
-    Backward routes the gradient to the first (row-major) argmax of each block.
+    Odd trailing rows/cols are dropped. Backward routes the gradient to the
+    first (row-major) maximum of each block, or to its first NaN if it has one.
     """
-    xd, squeezed = _to_4d(x.data, "maxpool2 input")
-    n, c, h, w = xd.shape
+    xd = _check_4d(x.data, "maxpool2 input")
+    h, w = xd.shape[2], xd.shape[3]
     if h < 2 or w < 2:
         raise DimensionError(f"maxpool2 spatial axis: needs H,W >= 2, got {h}x{w}")
-    ho, wo = h // 2, w // 2
-    blocks = xd[:, :, : 2 * ho, : 2 * wo].reshape(n, c, ho, 2, wo, 2)
-    blocks = np.ascontiguousarray(blocks.transpose(0, 1, 2, 4, 3, 5)).reshape(n, c, ho, wo, 4)
-    idx = blocks.argmax(axis=-1)
-    out = np.take_along_axis(blocks, idx[..., None], axis=-1)[..., 0]
+    corners = [(slice(a, h - h % 2, 2), slice(b, w - w % 2, 2)) for a in (0, 1) for b in (0, 1)]
+    views = [xd[:, :, r, s] for r, s in corners]
+    out = np.maximum(np.maximum(views[0], views[1]), np.maximum(views[2], views[3]))
 
     def bw(g):
-        if g.ndim == 3:
-            g = g[None]
-        gb = np.zeros((n, c, ho, wo, 4), dtype=xd.dtype)
-        np.put_along_axis(gb, idx[..., None], g[..., None], axis=-1)
-        gcrop = gb.reshape(n, c, ho, wo, 2, 2).transpose(0, 1, 2, 4, 3, 5)
         gx = np.zeros_like(xd)
-        gx[:, :, : 2 * ho, : 2 * wo] = gcrop.reshape(n, c, 2 * ho, 2 * wo)
-        x.accumulate_grad(gx[0] if squeezed else gx)
+        free = np.ones(out.shape, dtype=bool)  # blocks whose maximum is not yet routed
+        for (r, s), v in zip(corners, views):
+            hit = ((v == out) | np.isnan(v)) & free
+            np.multiply(g, hit, out=gx[:, :, r, s])
+            free ^= hit
+        x.accumulate_grad(gx)
 
-    out = np.ascontiguousarray(out[0] if squeezed else out)
     return Tensor._op(out, (x,), bw)
 
 
 def upsample2_nearest(x: Tensor) -> Tensor:
     """Nearest-neighbor 2x upsampling; backward sums each 2x2 block."""
-    xd, squeezed = _to_4d(x.data, "upsample2 input")
+    xd = _check_4d(x.data, "upsample2 input")
     n, c, h, w = xd.shape
     out = np.repeat(np.repeat(xd, 2, axis=2), 2, axis=3)
 
     def bw(g):
-        if g.ndim == 3:
-            g = g[None]
-        gx = g.reshape(n, c, h, 2, w, 2).sum(axis=(3, 5))
-        x.accumulate_grad(gx[0] if squeezed else gx)
+        x.accumulate_grad(g.reshape(n, c, h, 2, w, 2).sum(axis=(3, 5)))
 
-    out = np.ascontiguousarray(out[0] if squeezed else out)
     return Tensor._op(out, (x,), bw)
 
 
 def concat_channels(a: Tensor, b: Tensor) -> Tensor:
-    """Concatenate along the channel axis; channels of a precede b."""
-    ad, bd = a.data, b.data
-    if ad.ndim != bd.ndim or ad.ndim not in (3, 4):
-        raise DimensionError(
-            f"concat_channels rank: got {ad.ndim} and {bd.ndim} dims")
-    if ad.shape[-2:] != bd.shape[-2:]:
-        raise DimensionError(
-            f"concat_channels spatial axis: {ad.shape[-2:]} vs {bd.shape[-2:]}")
-    if ad.ndim == 4 and ad.shape[0] != bd.shape[0]:
-        raise DimensionError(
-            f"concat_channels batch axis: {ad.shape[0]} vs {bd.shape[0]}")
-    ca = ad.shape[-3]
-    out = np.concatenate([ad, bd], axis=-3)
+    """Concatenate [N,C,H,W] inputs along the channel axis; channels of a precede b."""
+    ad = _check_4d(a.data, "concat_channels input")
+    bd = _check_4d(b.data, "concat_channels input")
+    if ad.shape[0] != bd.shape[0] or ad.shape[2:] != bd.shape[2:]:
+        raise DimensionError(f"concat_channels batch or spatial axis: {ad.shape} vs {bd.shape}")
+    ca = ad.shape[1]
+    out = np.concatenate([ad, bd], axis=1)
 
     def bw(g):
-        a.accumulate_grad(g[..., :ca, :, :])
-        b.accumulate_grad(g[..., ca:, :, :])
+        a.accumulate_grad(g[:, :ca])
+        b.accumulate_grad(g[:, ca:])
 
     return Tensor._op(out, (a, b), bw)
 
@@ -469,12 +472,12 @@ def l2_normalize(x: Tensor) -> Tensor:
 
 
 def adaptive_avg_pool2d(x: Tensor, out_hw: int) -> Tensor:
-    """Average-pool [.,C,H,W] onto a fixed out_hw x out_hw grid.
+    """Average-pool [N,C,H,W] onto a fixed out_hw x out_hw grid.
 
     Regions follow the floor/ceil convention: row i covers
     [floor(i*H/G), ceil((i+1)*H/G)).
     """
-    xd, squeezed = _to_4d(x.data, "adaptive_avg_pool2d input")
+    xd = _check_4d(x.data, "adaptive_avg_pool2d input")
     n, c, h, w = xd.shape
     g_ = out_hw
     if g_ < 1 or g_ > h or g_ > w:
@@ -490,16 +493,13 @@ def adaptive_avg_pool2d(x: Tensor, out_hw: int) -> Tensor:
             out[:, :, i, j] = xd[:, :, hs[i]:he[i], ws[j]:we[j]].mean(axis=(2, 3))
 
     def bw(gr):
-        if gr.ndim == 3:
-            gr = gr[None]
         gx = np.zeros_like(xd)
         for i in range(g_):
             for j in range(g_):
                 area = (he[i] - hs[i]) * (we[j] - ws[j])
                 gx[:, :, hs[i]:he[i], ws[j]:we[j]] += gr[:, :, i:i + 1, j:j + 1] / area
-        x.accumulate_grad(gx[0] if squeezed else gx)
+        x.accumulate_grad(gx)
 
-    out = np.ascontiguousarray(out[0] if squeezed else out)
     return Tensor._op(out, (x,), bw)
 
 

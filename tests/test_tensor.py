@@ -33,6 +33,7 @@ from conftest import max_rel_err, numeric_grad
 
 F64 = np.float64
 GRAD_TOL = 1e-4
+FE_KERNELS = [(9, 3), (3, 9), (7, 3), (3, 7), (5, 3), (3, 5)]
 
 
 def t64(arr, grad=True):
@@ -78,13 +79,41 @@ class TestConv2d:
             out = conv2d(x, w, t64(np.zeros(2), False), "same")
             assert out.shape == (1, 2, 16, 16), (kh, kw)
 
-    def test_unbatched_input(self, rng):
-        x = rng.normal(size=(3, 5, 5))
-        w = rng.normal(size=(2, 3, 3, 3))
-        out3 = conv2d(t64(x, False), t64(w, False), t64(np.zeros(2), False), "same")
-        out4 = conv2d(t64(x[None], False), t64(w, False), t64(np.zeros(2), False), "same")
-        assert out3.shape == (2, 5, 5)
-        np.testing.assert_array_equal(out3.data, out4.data[0])
+    @pytest.mark.parametrize("kh,kw", FE_KERNELS + [(1, 1)])
+    def test_matches_scipy_same_every_kernel_shape(self, rng, kh, kw):
+        # non-square input, so a row-length or wrap-around mix-up changes values
+        x = rng.normal(size=(3, 2, 11, 8))
+        w = rng.normal(size=(4, 2, kh, kw))
+        b = rng.normal(size=4)
+        out = conv2d(t64(x, False), t64(w, False), t64(b, False), "same").data
+        assert out.shape == (3, 4, 11, 8)
+        for n in range(3):
+            for o in range(4):
+                ref = sum(correlate2d(x[n, c], w[o, c], mode="same") for c in range(2))
+                np.testing.assert_allclose(out[n, o], ref + b[o], atol=1e-12)
+
+    @pytest.mark.parametrize("kh,kw", [(9, 3), (3, 7)])
+    def test_gradients_same_rect(self, rng, kh, kw):
+        x = t64(rng.normal(size=(2, 2, 11, 8)))
+        w = t64(rng.normal(size=(2, 2, kh, kw)) * 0.3)
+        b = t64(rng.normal(size=2))
+        tgt = t64(rng.normal(size=(2, 2, 11, 8)), False)
+        fd_assert(lambda: mse_loss(conv2d(x, w, b, "same"), tgt), [x, w, b])
+
+    def test_batch_equals_images_alone(self, rng):
+        x = rng.normal(size=(3, 3, 10, 7)).astype(np.float32)
+        w = Tensor(rng.normal(size=(5, 3, 7, 3)).astype(np.float32))
+        b = Tensor(rng.normal(size=5).astype(np.float32))
+        g = rng.normal(size=(3, 5, 10, 7)).astype(np.float32)
+        xb = Tensor(x, requires_grad=True)
+        out = conv2d(xb, w, b, "same")
+        backward((out * Tensor(g)).sum())
+        for n in range(3):
+            xn = Tensor(x[n:n + 1], requires_grad=True)
+            outn = conv2d(xn, w, b, "same")
+            backward((outn * Tensor(g[n:n + 1])).sum())
+            np.testing.assert_array_equal(out.data[n:n + 1], outn.data)
+            np.testing.assert_array_equal(xb.grad[n:n + 1], xn.grad)
 
     def test_gradients(self, rng):
         x = t64(rng.normal(size=(2, 2, 6, 5)))
@@ -99,13 +128,6 @@ class TestConv2d:
         b = t64(rng.normal(size=2))
         tgt = t64(rng.normal(size=(1, 2, 5, 5)), False)
         fd_assert(lambda: mse_loss(conv2d(x, w, b, "valid"), tgt), [x, w, b])
-
-    def test_gradients_unbatched(self, rng):
-        x = t64(rng.normal(size=(1, 4, 4)))
-        w = t64(rng.normal(size=(2, 1, 3, 3)))
-        b = t64(rng.normal(size=2))
-        tgt = t64(rng.normal(size=(2, 4, 4)), False)
-        fd_assert(lambda: mse_loss(conv2d(x, w, b, "same"), tgt), [x, w, b])
 
     def test_channel_mismatch_raises(self, rng):
         x = t64(rng.normal(size=(1, 3, 5, 5)), False)
@@ -148,6 +170,16 @@ class TestPoolingAndUpsample:
         xt = t64(x)
         backward(maxpool2(xt).sum())
         np.testing.assert_array_equal(xt.grad, [[[[1.0, 0.0], [0.0, 0.0]]]])
+
+    def test_maxpool_nan_goes_to_first_nan(self):
+        # a block holding NaN outputs NaN, and its gradient goes to the first
+        # NaN in row-major order, not to the larger number after it
+        x = np.array([[[[1.0, np.nan], [np.nan, 5.0]]]])
+        xt = t64(x)
+        out = maxpool2(xt)
+        assert np.isnan(out.data).all()
+        backward((out * t64(np.full((1, 1, 1, 1), 3.0), False)).sum())
+        np.testing.assert_array_equal(xt.grad, [[[[0.0, 3.0], [0.0, 0.0]]]])
 
     def test_maxpool_gradients(self, rng):
         # Distinct values so the argmax is stable under the FD perturbation.
@@ -197,6 +229,20 @@ class TestPoolingAndUpsample:
     def test_adaptive_pool_grid_too_large_raises(self, rng):
         with pytest.raises(DimensionError):
             adaptive_avg_pool2d(t64(rng.normal(size=(1, 1, 3, 3)), False), 4)
+
+
+class TestFourDOnly:
+    def test_unbatched_input_raises(self, rng):
+        x = t64(rng.normal(size=(2, 4, 4)), False)
+        w = t64(rng.normal(size=(1, 2, 3, 3)), False)
+        calls = [lambda: conv2d(x, w, t64(np.zeros(1), False)),
+                 lambda: maxpool2(x),
+                 lambda: upsample2_nearest(x),
+                 lambda: adaptive_avg_pool2d(x, 2),
+                 lambda: concat_channels(x, x)]
+        for call in calls:
+            with pytest.raises(DimensionError, match=r"\[N,C,H,W\]"):
+                call()
 
 
 class TestPointwiseOps:
