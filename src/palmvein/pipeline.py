@@ -318,14 +318,14 @@ def stage_transform_targets(cfg: PipelineConfig) -> None:
     paths = _paths(cfg)
     records = _read_records(paths, "transform-targets")
     images = _load_images(paths, records)
+    keys = [(r.subject_id, r.sample_index) for r in records]
+    ray_maps = irt(np.stack([images[k] for k in keys]),
+                   ray_count=cfg.irt_rays, n_max=cfg.irt_n_max,
+                   seed=[derive_seed(cfg.seed, _TAG_IRT, sid, idx) for sid, idx in keys])
     paths.targets.mkdir(parents=True, exist_ok=True)
-    for r in records:
-        sid, idx = r.subject_id, r.sample_index
-        img = images[(sid, idx)]
-        np.save(_target_path(paths, "tcm", sid, idx), tcm(img))
-        np.save(_target_path(paths, "irt", sid, idx),
-                irt(img, ray_count=cfg.irt_rays, n_max=cfg.irt_n_max,
-                    seed=derive_seed(cfg.seed, _TAG_IRT, sid, idx)))
+    for (sid, idx), ray_map in zip(keys, ray_maps):
+        np.save(_target_path(paths, "tcm", sid, idx), tcm(images[(sid, idx)]))
+        np.save(_target_path(paths, "irt", sid, idx), ray_map)
 
 
 def stage_train_ced1(cfg: PipelineConfig) -> None:

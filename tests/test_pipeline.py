@@ -25,9 +25,11 @@ from palmvein.pipeline import (
     CKPT_FE_TRIPLET,
     CKPT_STACK,
     STAGE_NAMES,
+    _TAG_IRT,
     stage_evaluate,
 )
-from palmvein.dataio import read_manifest
+from palmvein.dataio import load_image, read_manifest
+from palmvein.transforms import irt, tcm
 from palmvein.weights import load_arrays
 
 
@@ -123,6 +125,26 @@ class TestEvaluate:
         assert sum(images) == 2 * len(read_manifest(paths.manifest))
         for p, before in reports.items():
             assert (p / "metrics.csv").read_bytes() == before
+
+
+class TestTransformTargets:
+    def test_targets_equal_images_alone(self, tmp_path):
+        # stage 2 marches all images in one batched irt call; 5x2 images
+        # spans more than one chunk, so this pins the image/seed pairing
+        cfg = micro_config(tmp_path, subjects=5)
+        run_stages(cfg, [1, 2])
+        paths = RunPaths(cfg.out_dir)
+        records = read_manifest(paths.manifest)
+        assert len(records) == 10
+        for r in records:
+            tag = f"s{r.subject_id:04d}_i{r.sample_index:02d}"
+            img = load_image(paths.data, r)
+            want = irt(img, ray_count=cfg.irt_rays, n_max=cfg.irt_n_max,
+                       seed=derive_seed(cfg.seed, _TAG_IRT, r.subject_id, r.sample_index))
+            got = np.load(paths.targets / f"irt_{tag}.npy")
+            assert got.dtype == np.float32 and got.shape == img.shape
+            np.testing.assert_array_equal(got.view(np.uint32), want.view(np.uint32))
+            np.testing.assert_array_equal(np.load(paths.targets / f"tcm_{tag}.npy"), tcm(img))
 
 
 class TestDeterminism:

@@ -8,7 +8,7 @@ for pooling, and closed-form expressions elsewhere.
 
 import numpy as np
 import pytest
-from scipy.signal import correlate2d
+from scipy.signal import convolve2d, correlate2d
 
 import palmvein.tensor as T
 from palmvein import (
@@ -81,16 +81,33 @@ class TestConv2d:
 
     @pytest.mark.parametrize("kh,kw", FE_KERNELS + [(1, 1)])
     def test_matches_scipy_same_every_kernel_shape(self, rng, kh, kw):
-        # non-square input, so a row-length or wrap-around mix-up changes values
-        x = rng.normal(size=(3, 2, 11, 8))
-        w = rng.normal(size=(4, 2, kh, kw))
-        b = rng.normal(size=4)
-        out = conv2d(t64(x, False), t64(w, False), t64(b, False), "same").data
-        assert out.shape == (3, 4, 11, 8)
-        for n in range(3):
-            for o in range(4):
-                ref = sum(correlate2d(x[n, c], w[o, c], mode="same") for c in range(2))
-                np.testing.assert_allclose(out[n, o], ref + b[o], atol=1e-12)
+        # non-square input, so a row-length or wrap-around mix-up changes
+        # values; ci=1 is the one-deep contraction of the CED's first layer
+        for ci in (2, 1):
+            x = rng.normal(size=(3, ci, 11, 8))
+            w = rng.normal(size=(4, ci, kh, kw))
+            b = rng.normal(size=4)
+            out = conv2d(t64(x, False), t64(w, False), t64(b, False), "same").data
+            assert out.shape == (3, 4, 11, 8)
+            for n in range(3):
+                for o in range(4):
+                    ref = sum(correlate2d(x[n, c], w[o, c], mode="same") for c in range(ci))
+                    np.testing.assert_allclose(out[n, o], ref + b[o], atol=1e-12)
+
+    @pytest.mark.parametrize("padding", ["same", "valid"])
+    @pytest.mark.parametrize("kh,kw", [(3, 3), (3, 5), (1, 1)])
+    def test_one_output_channel_input_grad_matches_scipy(self, rng, kh, kw, padding):
+        # the input gradient of a one-output conv (the CED head) contracts
+        # over that one channel
+        x = t64(rng.normal(size=(2, 3, 9, 7)))
+        w = rng.normal(size=(1, 3, kh, kw))
+        out = conv2d(x, t64(w, False), t64(np.zeros(1), False), padding)
+        g = rng.normal(size=out.shape)
+        backward((out * t64(g, False)).sum())
+        for n in range(2):
+            for c in range(3):
+                ref = convolve2d(g[n, 0], w[0, c], mode="same" if padding == "same" else "full")
+                np.testing.assert_allclose(x.grad[n, c], ref, atol=1e-12)
 
     @pytest.mark.parametrize("kh,kw", [(9, 3), (3, 7)])
     def test_gradients_same_rect(self, rng, kh, kw):

@@ -1,5 +1,10 @@
-"""Transform tests: vectorized TCM against a scalar pixel-loop oracle, and
-behavioral checks of the ray-accumulation transform."""
+"""Transform tests: vectorized TCM against a scalar pixel-loop oracle, the
+batched ray march against a scalar per-ray oracle, and behavioral checks of
+the ray-accumulation transform."""
+
+import math
+import os
+import sys
 
 import numpy as np
 import pytest
@@ -122,7 +127,107 @@ class TestIrt:
             irt(img, max_steps=0)
         with pytest.raises(DimensionError):
             irt(np.ones(8))
+        with pytest.raises(DimensionError):
+            irt(np.ones((2, 1, 8, 8)), seed=[0, 1])
 
     def test_tiny_image(self):
         out = irt(np.ones((4, 4)), ray_count=200, seed=2)
         assert out.shape == (4, 4) and out.max() == 1.0
+
+
+def irt_scalar(img, ray_count, n_max, seed):
+    """Independent reference: the launch written out again, then one ray at a
+    time through the cells in plain Python floats."""
+    h, w = img.shape
+    n_map = 1.0 + (1.0 - np.clip(np.asarray(img, dtype=np.float64), 0.0, 1.0)) * (n_max - 1.0)
+    rng = np.random.default_rng(seed)
+    perim = rng.uniform(0.0, 2.0 * (w + h), size=ray_count)
+    theta = np.arcsin(2.0 * rng.uniform(size=ray_count) - 1.0)
+    ct, st = np.cos(theta), np.sin(theta)
+    counts = np.zeros((h, w), dtype=np.int64)
+    for r in range(ray_count):
+        p = float(perim[r])
+        if p < w:
+            x, y, nx, ny = p, 0.0, 0.0, 1.0
+        elif p < w + h:
+            x, y, nx, ny = float(w), p - w, -1.0, 0.0
+        elif p < 2 * w + h:
+            x, y, nx, ny = p - (w + h), float(h), 0.0, -1.0
+        else:
+            x, y, nx, ny = 0.0, p - (2 * w + h), 1.0, 0.0
+        dx = float(nx * ct[r] - ny * st[r])
+        dy = float(nx * st[r] + ny * ct[r])
+        cx = w - 1 if nx < 0 else min(max(math.floor(x), 0), w - 1)
+        cy = h - 1 if ny < 0 else min(max(math.floor(y), 0), h - 1)
+        counts[cy, cx] += 1
+        for _ in range(4 * (h + w)):
+            tx = (cx + 1 - x) / dx if dx > 0 else (cx - x) / dx if dx < 0 else math.inf
+            ty = (cy + 1 - y) / dy if dy > 0 else (cy - y) / dy if dy < 0 else math.inf
+            sx, sy = float(np.sign(dx)), float(np.sign(dy))
+            if tx <= ty:  # crosses a vertical cell edge
+                x, y = float(cx + (dx > 0)), y + dy * tx
+                ncx, ncy, sin1 = cx + int(sx), cy, abs(dy)
+            else:
+                x, y = x + dx * ty, float(cy + (dy > 0))
+                ncx, ncy, sin1 = cx, cy + int(sy), abs(dx)
+            inside = 0 <= ncx < w and 0 <= ncy < h
+            sin2 = n_map[cy, cx] * sin1 / (n_map[ncy, ncx] if inside else 1.0)
+            if sin2 >= 1.0:  # total internal reflection: mirror, stay put
+                dx, dy = (-dx, dy) if tx <= ty else (dx, -dy)
+                continue
+            cos2 = math.sqrt(1.0 - sin2 * sin2)
+            dx, dy = (sx * cos2, sy * sin2) if tx <= ty else (sx * sin2, sy * cos2)
+            cx, cy = ncx, ncy
+            if not inside:
+                break
+            counts[cy, cx] += 1
+    return (counts / counts.max()).astype(np.float32)
+
+
+def _bits(a):
+    return np.asarray(a, dtype=np.float32).view(np.uint32)
+
+
+class TestIrtBatch:
+    @staticmethod
+    def mixed_batch(h=14, w=12):
+        """11 random, constant, dark-line and all-dark images with their seeds."""
+        n = 11
+        rng = np.random.default_rng(21)
+        imgs = rng.uniform(size=(n, h, w))
+        imgs[1] = 1.0
+        imgs[2, h // 2, :] = 0.0
+        imgs[3] = 0.0
+        imgs[4, :, w // 3] = 0.05
+        return imgs, [1000 + 37 * k for k in range(n)]
+
+    def test_matches_scalar_oracle(self):
+        imgs, seeds = self.mixed_batch(h=9, w=7)
+        imgs, seeds = imgs[:5], seeds[:5]
+        out = irt(imgs, ray_count=150, n_max=2.5, seed=seeds)
+        for img, s, got in zip(imgs, seeds, out):
+            np.testing.assert_array_equal(_bits(got), _bits(irt_scalar(img, 150, 2.5, s)))
+
+    @pytest.mark.parametrize("cpus", [1, 2, 5])
+    def test_batch_equals_images_alone(self, monkeypatch, cpus):
+        # 44 images: several chunks, the last one short; with 5 CPUs more
+        # threads than cores share the output array, switching often
+        imgs, seeds = self.mixed_batch()
+        alone = np.stack([irt(img, ray_count=200, seed=s) for img, s in zip(imgs, seeds)])
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            out = irt(np.concatenate([imgs] * 4), ray_count=200, seed=seeds * 4)
+        finally:
+            sys.setswitchinterval(interval)
+        assert out.shape == (44,) + imgs.shape[1:] and out.dtype == np.float32
+        np.testing.assert_array_equal(_bits(out), _bits(np.concatenate([alone] * 4)))
+
+    def test_seed_count_must_match(self):
+        imgs, seeds = self.mixed_batch()
+        imgs, seeds = imgs[:3], seeds[:3]
+        with pytest.raises(ContractError):
+            irt(imgs, ray_count=50, seed=seeds[:2])
+        with pytest.raises(ContractError):
+            irt(imgs, ray_count=50, seed=7)
