@@ -157,23 +157,39 @@ def trunk_apply(model: FEModel, x: Tensor) -> Tensor:
     return x
 
 
+def pooled_trunk_apply(model: FEModel, x: Tensor) -> Tensor:
+    """Trunk, then the adaptive pool to the grid: [N,C,H,W] -> [N,flat_dim]."""
+    feat = adaptive_avg_pool2d(trunk_apply(model, x), model.config.pool_grid)
+    return feat.flatten_from(feat.ndim - 3)
+
+
+def head_apply(model: FEModel, flat: Tensor) -> Tensor:
+    """FC head: [N,flat_dim] pooled trunk features -> [N,embedding_dim] unit-norm."""
+    return l2_normalize(linear(flat, model.head["fc.w"], model.head["fc.b"]))
+
+
 def fe_apply(model: FEModel, x: Tensor) -> Tensor:
     """Full forward: [N,C,H,W] -> [N,embedding_dim] unit-norm embeddings."""
-    cfg = model.config
-    feat = trunk_apply(model, x)
-    feat = adaptive_avg_pool2d(feat, cfg.pool_grid)
-    flat = feat.flatten_from(feat.ndim - 3)
-    return l2_normalize(linear(flat, model.head["fc.w"], model.head["fc.b"]))
+    return head_apply(model, pooled_trunk_apply(model, x))
+
+
+def _forward_chunks(apply_fn, model: FEModel, mcis: np.ndarray) -> np.ndarray:
+    arr = np.asarray(mcis, dtype=np.float32)
+    if arr.ndim != 4:
+        raise DimensionError(f"expected [N,C,H,W], got {arr.ndim} dims")
+    outs = [apply_fn(model, Tensor(arr[s:s + _EMBED_CHUNK])).data
+            for s in range(0, arr.shape[0], _EMBED_CHUNK)]
+    return np.concatenate(outs, axis=0)
 
 
 def embed_batch(model: FEModel, mcis: np.ndarray) -> np.ndarray:
     """Embed [N,3,H,W], 64 images per forward; returns [N,embedding_dim] float32."""
-    arr = np.asarray(mcis, dtype=np.float32)
-    if arr.ndim != 4:
-        raise DimensionError(f"embed_batch expects [N,C,H,W], got {arr.ndim} dims")
-    outs = [fe_apply(model, Tensor(arr[s:s + _EMBED_CHUNK])).data
-            for s in range(0, arr.shape[0], _EMBED_CHUNK)]
-    return np.concatenate(outs, axis=0)
+    return _forward_chunks(fe_apply, model, mcis)
+
+
+def pooled_trunk_batch(model: FEModel, mcis: np.ndarray) -> np.ndarray:
+    """Pooled trunk features of [N,3,H,W], 64 images per forward: [N,flat_dim]."""
+    return _forward_chunks(pooled_trunk_apply, model, mcis)
 
 
 def set_trainable(model: FEModel, trunk: bool, head: bool) -> None:

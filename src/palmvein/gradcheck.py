@@ -6,9 +6,9 @@ place -- same evaluation point, higher precision -- so central differences
 are not drowned by rounding. Original arrays are restored afterwards.
 
 `run_battery` packages the standard verification suite: every differentiable
-primitive at 64-bit precision (tolerance 1e-3) and the full desk-size
-networks at their production 32-bit precision (tolerance 1e-2), each over
-many randomized trials.
+primitive at 64-bit precision (tolerance 1e-3), and the full desk-size
+networks at their production 32-bit precision and the end-to-end graph that
+composes them at 64-bit (tolerance 1e-2), each over many randomized trials.
 """
 
 from __future__ import annotations
@@ -269,10 +269,12 @@ def _jitter_params(params: ParamSet, rng: np.random.Generator) -> None:
 
 
 def _net_cases() -> list[tuple[str, Callable]]:
-    """Full desk-size networks at production (32-bit) precision."""
+    """Full desk-size networks at production (32-bit) precision, and their
+    end-to-end composition."""
     from .ced import CEDConfig, build_ced, ced_apply
     from .fe import FEConfig, build_fe, fe_apply
-    from .tensor import mse_loss
+    from .tensor import concat_channels, mse_loss
+    from .triplet import triplet_loss_batch
 
     def ced_case(rng, trial):
         model = build_ced(CEDConfig(depth=3, base_channels=8, input_size=64),
@@ -290,7 +292,42 @@ def _net_cases() -> list[tuple[str, Callable]]:
                                size=(1, model.config.embedding_dim)).astype(np.float32))
         return model.params, lambda: mse_loss(fe_apply(model, x), t)
 
-    return [("ced-desk-32bit", ced_case), ("fe-desk-32bit", fe_case)]
+    def e2e_case(rng, trial):
+        # the stage-9 graph: CED -> CED -> channel stack -> FE -> triplet loss
+        ced_cfg = CEDConfig(depth=3, base_channels=8, input_size=64)
+        first = build_ced(ced_cfg, seed=trial)
+        second = build_ced(ced_cfg, seed=trial + 1)
+        fe = build_fe(FEConfig(), seed=trial)
+        stack = ParamSet.union(("ced1", first.params), ("ced2", second.params))
+        params = ParamSet.union(("stack", stack), ("fe", fe.params))
+        _jitter_params(params, rng)
+        # 64-bit: the 32-bit gradient of this composition is a difference of
+        # near-equal per-image terms, and its rounding alone reaches a few
+        # percent on some CED elements
+        for t in params.tensors():
+            t.data = t.data.astype(np.float64)
+        # one random tensor of the stack and one of the FE per trial: a sweep
+        # of every tensor through this graph at desk size takes minutes
+        for group in (stack, fe.params):
+            probed = group.names()[rng.integers(len(group))]
+            for name, t in group.items():
+                t.requires_grad = name == probed
+        images = rng.uniform(0.0, 1.0, size=(5, 1, 64, 64))
+
+        def embed(rows):
+            x = Tensor(images[rows])
+            mid = ced_apply(first, x)
+            out = ced_apply(second, mid)
+            return fe_apply(fe, concat_channels(concat_channels(x, mid), out))
+
+        # sample 0 is the first anchor and the second negative, so its
+        # gradient sums over two corners; a margin of 4 keeps every hinge
+        # active on the unit sphere
+        return params, lambda: triplet_loss_batch(embed([0, 1]), embed([2, 3]),
+                                                  embed([4, 0]), 4.0)
+
+    return [("ced-desk-32bit", ced_case), ("fe-desk-32bit", fe_case),
+            ("e2e-desk-64bit", e2e_case)]
 
 
 def run_battery(trials: int = 20, seed: int = 0,
@@ -303,7 +340,8 @@ def run_battery(trials: int = 20, seed: int = 0,
     element per parameter per trial (fresh, jittered weights and data each
     trial), a smaller step to keep piecewise-linear kinks out of the
     stencil, and a 0.1 gradient-scale denominator floor to absorb 32-bit
-    accumulation rounding on negligible elements.
+    accumulation rounding on negligible elements. The end-to-end case runs
+    under the same settings at 64-bit.
     """
     if trials < 1:
         raise ContractError(f"trials must be >= 1, got {trials}")

@@ -42,8 +42,8 @@ from .optim import Adam
 from .synth import AugmentConfig, augment, build_dataset
 from .tensor import ParamSet, Tensor, backward, concat_channels
 from .transforms import irt, tcm
-from .triplet import MarginSchedule, StepLog, build_batch, train_triplet, \
-    triplet_loss_batch, write_training_log
+from .triplet import MarginSchedule, StepLog, TripletBatch, build_batch, dataset_images, \
+    train_triplet, triplet_loss_batch, write_training_log
 from .weights import load_arrays, load_weights, save_weights
 
 from .config import PipelineConfig
@@ -72,6 +72,8 @@ _TAG_AE = 0xAE0
 _TAG_TRIPLET = 0x7219
 _TAG_E2E = 0xE2E
 _TAG_BASELINE = 0xBA5E
+
+_E2E_CHUNK = 8  # images per graph in a stage-9 step; bounds the step's memory
 
 
 def derive_seed(*parts: int) -> int:
@@ -335,8 +337,8 @@ def stage_train_ced1(cfg: PipelineConfig) -> None:
     images = _load_images(paths, records)
     train_pairs = _ced_pairs(records, "gallery", images, paths, None, "tcm", stage)
     model = build_ced(cfg.ced_config(), seed=derive_seed(cfg.seed, _TAG_CED1))
-    train_ced_losses = _train_ced_checked(model, train_pairs,
-                                          cfg.ced1_hyper(derive_seed(cfg.seed, _TAG_CED1, 1)))
+    train_ced_losses = train_ced(model, train_pairs,
+                                 cfg.ced1_hyper(derive_seed(cfg.seed, _TAG_CED1, 1)))
     paths.checkpoints.mkdir(parents=True, exist_ok=True)
     save_weights(model.params, paths.checkpoint(CKPT_CED1))
 
@@ -350,21 +352,13 @@ def stage_train_ced1(cfg: PipelineConfig) -> None:
     })
 
 
-def _train_ced_checked(model, pairs, hyper):
-    losses = train_ced(model, pairs, hyper)
-    if losses and not np.isfinite(losses[-1]):
-        raise ContractError("encoder-decoder training diverged (non-finite loss)")
-    return losses
-
-
 def stage_train_ced2(cfg: PipelineConfig) -> None:
     paths = _paths(cfg)
     stage = "train-ced2"
     records = _read_records(paths, stage)
     train_pairs = _ced_pairs(records, "gallery", None, paths, "tcm", "irt", stage)
     model = build_ced(cfg.ced_config(), seed=derive_seed(cfg.seed, _TAG_CED2))
-    _train_ced_checked(model, train_pairs,
-                       cfg.ced2_hyper(derive_seed(cfg.seed, _TAG_CED2, 1)))
+    train_ced(model, train_pairs, cfg.ced2_hyper(derive_seed(cfg.seed, _TAG_CED2, 1)))
     paths.checkpoints.mkdir(parents=True, exist_ok=True)
     save_weights(model.params, paths.checkpoint(CKPT_CED2))
 
@@ -388,8 +382,8 @@ def stage_finetune_stack(cfg: PipelineConfig) -> None:
     pre_mse = holdout_mse()
 
     train_pairs = _ced_pairs(records, "gallery", images, paths, None, "irt", stage)
-    losses = _finetune_stacked_checked(stacked, train_pairs,
-                                       cfg.stack_hyper(derive_seed(cfg.seed, _TAG_STACK)))
+    losses = finetune_stacked(stacked, train_pairs,
+                              cfg.stack_hyper(derive_seed(cfg.seed, _TAG_STACK)))
     post_mse = holdout_mse()
 
     paths.checkpoints.mkdir(parents=True, exist_ok=True)
@@ -399,13 +393,6 @@ def stage_finetune_stack(cfg: PipelineConfig) -> None:
         "stack_post_mse": post_mse,
         "stack_train_loss_final": losses[-1] if losses else float("nan"),
     })
-
-
-def _finetune_stacked_checked(stacked, pairs, hyper):
-    losses = finetune_stacked(stacked, pairs, hyper)
-    if losses and not np.isfinite(losses[-1]):
-        raise ContractError("stack finetuning diverged (non-finite loss)")
-    return losses
 
 
 def stage_assemble_features(cfg: PipelineConfig) -> None:
@@ -465,13 +452,53 @@ def stage_train_triplet(cfg: PipelineConfig) -> None:
     save_weights(fe.params, paths.checkpoint(CKPT_FE_TRIPLET))
 
 
+def _chunked_triplet_backward(embed: Callable[[list[tuple[int, int]]], Tensor],
+                              batch: TripletBatch, step: int) -> float:
+    """Triplet loss of ``batch``, with its exact parameter gradients
+    accumulated one chunk graph at a time (gradient caching).
+
+    ``embed(refs)`` maps sample references to an ``[n, d]`` embedding tensor
+    with a graph. Each distinct corner sample is embedded once, in chunks of
+    ``_E2E_CHUNK`` whose graphs are dropped at once. The loss and its
+    gradient with respect to those embeddings come from row gathers held as
+    leaves; a sample in several corners gets the sum of its rows' gradients.
+    Each chunk is then embedded again with a graph and backpropagated against
+    its slice of that gradient, so peak memory is one chunk's graph.
+    """
+    refs = list(dict.fromkeys(c for t in batch.triplets
+                              for c in (t.anchor, t.positive, t.negative)))
+    row_of = {ref: r for r, ref in enumerate(refs)}
+    starts = range(0, len(refs), _E2E_CHUNK)
+    emb = np.concatenate([embed(refs[s:s + _E2E_CHUNK]).data for s in starts])
+
+    rows = [np.array([row_of[getattr(t, corner)] for t in batch.triplets])
+            for corner in ("anchor", "positive", "negative")]
+    leaves = [Tensor(emb[r], requires_grad=True) for r in rows]
+    loss = triplet_loss_batch(*leaves, batch.margin)
+    loss_val = float(loss.data)
+    if not np.isfinite(loss_val):
+        raise ContractError(
+            f"end-to-end training diverged at step {step} (non-finite loss)")
+    backward(loss)
+    grad = np.zeros_like(emb)
+    for leaf, r in zip(leaves, rows):
+        np.add.at(grad, r, leaf.grad)
+
+    for s in starts:
+        chunk = embed(refs[s:s + _E2E_CHUNK])
+        backward((chunk * Tensor(grad[s:s + _E2E_CHUNK])).sum())
+    return loss_val
+
+
 def stage_finetune_e2e(cfg: PipelineConfig) -> None:
     """Joint finetuning: gradients reach both CEDs and the FE.
 
     Hard negatives are mined against feature images computed once at stage
     start (with the current CEDs); the training step itself recomputes the
     batch's feature stacks inside the live graph so the CEDs receive
-    gradients through the triplet loss.
+    gradients through the triplet loss. It does so in chunks of
+    ``_E2E_CHUNK`` distinct samples, so its memory does not grow with
+    ``e2e.batch``.
     """
     paths = _paths(cfg)
     stage = "finetune-e2e"
@@ -485,6 +512,7 @@ def stage_finetune_e2e(cfg: PipelineConfig) -> None:
                 for sid, es in entries.items()}
     static_ds = {sid: list(extract_features_batch(stacked, np.stack(raws)))
                  for sid, raws in raw_pool.items()}
+    static_mcis = dataset_images(static_ds)
 
     # constant margin at the schedule's final value throughout this phase
     sched = MarginSchedule(total_steps=max(cfg.e2e_steps, 1),
@@ -502,19 +530,11 @@ def stage_finetune_e2e(cfg: PipelineConfig) -> None:
 
     logs: list[StepLog] = []
     for step in range(cfg.e2e_steps):
-        batch = build_batch(static_ds, fe, sched, step,
+        batch = build_batch(static_ds, embed_batch(fe, static_mcis), sched, step,
                             batch_size=cfg.e2e_batch, seed=e2e_seed,
                             subset_size=cfg.triplet_subset)
-        ea = live_embeddings([t.anchor for t in batch.triplets])
-        ep = live_embeddings([t.positive for t in batch.triplets])
-        ehn = live_embeddings([t.negative for t in batch.triplets])
-        loss = triplet_loss_batch(ea, ep, ehn, batch.margin)
-        loss_val = float(loss.data)
-        if not np.isfinite(loss_val):
-            raise ContractError(
-                f"end-to-end training diverged at step {step} (non-finite loss)")
         opt.zero_grad()
-        backward(loss)
+        loss_val = _chunked_triplet_backward(live_embeddings, batch, step)
         opt.step()
         logs.append(StepLog(step=step, loss=loss_val, margin=batch.margin,
                             violator_rate=batch.violator_rate, phase="e2e"))

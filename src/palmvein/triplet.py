@@ -22,7 +22,8 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .errors import ConfigError, ContractError, DimensionError
-from .fe import FEModel, embed_batch, fe_apply, set_trainable
+from .fe import FEModel, embed_batch, fe_apply, head_apply, pooled_trunk_batch, \
+    set_trainable
 from .optim import Adam
 from .tensor import Tensor, backward, relu
 
@@ -34,6 +35,7 @@ __all__ = [
     "TripletBatch",
     "TripletHyper",
     "build_batch",
+    "dataset_images",
     "margin_at",
     "mine_hard_negatives",
     "train_triplet",
@@ -229,9 +231,20 @@ def _validate_dataset(dataset: Dataset) -> None:
             "triplet training needs >= 2 subjects with >= 2 samples each")
 
 
+def _sample_keys(dataset: Dataset) -> list[tuple[int, int]]:
+    """Every sample reference, subjects ascending, then sample index."""
+    return [(sid, i) for sid in sorted(dataset) for i in range(len(dataset[sid]))]
+
+
+def dataset_images(dataset: Dataset) -> np.ndarray:
+    """Every sample stacked ``[P, C, H, W]``, in the row order ``build_batch``
+    expects of its embedding table."""
+    return np.stack([dataset[sid][i] for sid, i in _sample_keys(dataset)])
+
+
 def build_batch(
     dataset: Dataset,
-    fe: FEModel,
+    table: np.ndarray,
     schedule: MarginSchedule,
     step: int,
     batch_size: int = 90,
@@ -240,17 +253,18 @@ def build_batch(
 ) -> TripletBatch:
     """Mine one batch of triplets under the margin in force at ``step``.
 
-    Every distinct dataset sample is embedded once under the current
-    weights; per-slot mining then reuses those embeddings.
+    ``table`` holds one embedding per dataset sample, row for row with
+    ``dataset_images(dataset)``; every slot mines against those rows.
     """
     _validate_dataset(dataset)
     if batch_size < 1:
         raise ContractError(f"batch_size must be >= 1, got {batch_size}")
+    keys = _sample_keys(dataset)
+    if len(table) != len(keys):
+        raise DimensionError(
+            f"embedding table has {len(table)} rows, dataset has {len(keys)} samples")
     margin = margin_at(step, schedule)
-
-    keys = [(sid, i) for sid in sorted(dataset) for i in range(len(dataset[sid]))]
     row_of = {key: r for r, key in enumerate(keys)}
-    table = embed_batch(fe, np.stack([dataset[sid][i] for sid, i in keys]))
 
     eligible = np.array([sid for sid in sorted(dataset) if len(dataset[sid]) >= 2])
     pools = {}  # anchor sid -> (pool keys, pool embedding rows)
@@ -328,10 +342,18 @@ def train_triplet(
     by less than ``stabilize_tol`` for ``stabilize_patience`` consecutive
     windows, or after ``stabilize_cap`` windows, whichever comes first.
     Training leaves the whole model trainable.
+
+    While the trunk is frozen its pooled output for a sample cannot change,
+    so it is computed once for the whole dataset; each frozen step then mines
+    and trains on the head alone. After unfreezing, every step runs the full
+    extractor.
     """
     _validate_dataset(dataset)
     set_trainable(fe, trunk=False, head=True)
     opt = Adam(fe.params, lr=hyper.lr)
+    images = dataset_images(dataset)
+    row_of = {key: r for r, key in enumerate(_sample_keys(dataset))}
+    pooled: np.ndarray | None = None  # pooled trunk rows, kept while frozen
 
     log: list[StepLog] = []
     phase = "frozen"
@@ -340,19 +362,20 @@ def train_triplet(
     stable = windows_done = 0
 
     for step in range(schedule.total_steps):
-        batch = build_batch(dataset, fe, schedule, step,
+        if phase == "frozen":
+            if pooled is None:
+                pooled = pooled_trunk_batch(fe, images)
+            inputs, embed = pooled, head_apply
+            table = head_apply(fe, Tensor(pooled)).data
+        else:
+            inputs, embed = images, fe_apply
+            table = embed_batch(fe, images)
+        batch = build_batch(dataset, table, schedule, step,
                             batch_size=hyper.batch_size, seed=hyper.seed,
                             subset_size=hyper.subset_size)
-        anchors = np.stack([dataset[s][i] for s, i in
-                            (t.anchor for t in batch.triplets)])
-        positives = np.stack([dataset[s][i] for s, i in
-                              (t.positive for t in batch.triplets)])
-        negatives = np.stack([dataset[s][i] for s, i in
-                              (t.negative for t in batch.triplets)])
-
-        ea = fe_apply(fe, Tensor(anchors))
-        ep = fe_apply(fe, Tensor(positives))
-        ehn = fe_apply(fe, Tensor(negatives))
+        ea, ep, ehn = (embed(fe, Tensor(inputs[[row_of[getattr(t, corner)]
+                                                for t in batch.triplets]]))
+                       for corner in ("anchor", "positive", "negative"))
         loss = triplet_loss_batch(ea, ep, ehn, batch.margin)
         loss_val = float(loss.data)
         if not np.isfinite(loss_val):
@@ -382,6 +405,7 @@ def train_triplet(
                                 else "window cap")
                     set_trainable(fe, trunk=True, head=True)
                     phase = "full"
+                    pooled = None
 
     return log
 

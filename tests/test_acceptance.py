@@ -66,8 +66,9 @@ def desk_run(tmp_path_factory):
 
 
 def test_criterion_01_gradient_integrity():
-    """Primitives (64-bit, tol 1e-3) and both desk nets (32-bit, tol 1e-2)
-    pass central finite differences, >= 20 trials each, under 60 s."""
+    """Primitives (64-bit, tol 1e-3), both desk nets (32-bit, tol 1e-2) and
+    their end-to-end composition (64-bit, tol 1e-2) pass central finite
+    differences, >= 20 trials each, under 60 s."""
     t0 = time.time()
     cases = run_battery(trials=20)
     wall = time.time() - t0

@@ -156,6 +156,13 @@ class TestTraining:
         with pytest.raises(ContractError):
             train_ced(build_ced(small_cfg(), seed=0), [])
 
+    def test_nan_weight_diverges(self, rng):
+        model = build_ced(small_cfg(), seed=0)
+        model.params["enc.0.conv1.w"].data[0, 0, 0, 0] = np.nan
+        img = rng.uniform(size=(32, 32)).astype(np.float32)
+        with pytest.raises(ContractError, match="diverged"):
+            train_ced(model, [(img, img)], TrainHyper(epochs=1, batch_size=1))
+
     def test_single_pair_memorization(self):
         img = render_sample(generate_subject(0, 0), 0, 64)
         target = tcm(img)

@@ -2,6 +2,9 @@
 prerequisite errors, and enroll/verify behavior. All at micro scale (3
 subjects x 2 samples, 32px) so the whole file runs in seconds."""
 
+import shutil
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -26,8 +29,14 @@ from palmvein.pipeline import (
     CKPT_STACK,
     STAGE_NAMES,
     _TAG_IRT,
+    _chunked_triplet_backward,
     stage_evaluate,
+    stage_finetune_e2e,
 )
+from palmvein.ced import build_ced, ced_apply, stack_ceds
+from palmvein.fe import build_fe, fe_apply
+from palmvein.tensor import ParamSet, Tensor, backward, concat_channels
+from palmvein.triplet import Triplet, TripletBatch, triplet_loss_batch
 from palmvein.dataio import load_image, read_manifest
 from palmvein.transforms import irt, tcm
 from palmvein.weights import load_arrays
@@ -125,6 +134,85 @@ class TestEvaluate:
         assert sum(images) == 2 * len(read_manifest(paths.manifest))
         for p, before in reports.items():
             assert (p / "metrics.csv").read_bytes() == before
+
+
+def t(anchor, positive, negative):
+    return Triplet(anchor=anchor, positive=positive, negative=negative)
+
+
+# Triplet batches whose corners share samples: 11 distinct samples (more than
+# one chunk, not a multiple of it), 4 (under one chunk) and exactly 8.
+E2E_BATCHES = {
+    "u11": (t((0, 0), (0, 1), (1, 0)), t((1, 0), (1, 1), (0, 0)),
+            t((2, 0), (2, 1), (0, 1)), t((3, 0), (3, 1), (2, 0)),
+            t((0, 2), (0, 3), (3, 0)), t((1, 2), (1, 0), (2, 1))),
+    "u4": (t((0, 0), (0, 1), (1, 0)), t((1, 0), (1, 1), (0, 1))),
+    "u8": (t((0, 0), (0, 1), (1, 0)), t((1, 0), (1, 1), (2, 0)),
+           t((2, 0), (2, 1), (3, 0)), t((3, 0), (3, 1), (0, 0))),
+}
+
+
+def e2e_embedder(rng):
+    """The stage-9 forward (CED, CED, channel stack, FE) over a 4x4 pool of
+    random 32px images, and the parameters it trains."""
+    cfg = micro_config("unused")
+    stacked = stack_ceds(build_ced(cfg.ced_config(), seed=1),
+                         build_ced(cfg.ced_config(), seed=2))
+    fe = build_fe(cfg.fe_config(), seed=3)
+    pool = rng.uniform(size=(4, 4, 32, 32)).astype(np.float32)
+
+    def embed(refs):
+        x = Tensor(np.stack([pool[sid, i] for sid, i in refs])[:, None])
+        mid = ced_apply(stacked.first, x)
+        out = ced_apply(stacked.second, mid)
+        return fe_apply(fe, concat_channels(concat_channels(x, mid), out))
+
+    return embed, ParamSet.union(("stack", stacked.params), ("fe", fe.params))
+
+
+class TestFinetuneE2E:
+    @pytest.mark.parametrize("name", sorted(E2E_BATCHES))
+    def test_chunked_backward_matches_one_graph(self, name, rng):
+        embed, params = e2e_embedder(rng)
+        triplets = E2E_BATCHES[name]
+        batch = TripletBatch(triplets, margin=1.0, checked=0, violators=0)
+
+        params.zero_grad()
+        loss = triplet_loss_batch(*(embed([getattr(tr, c) for tr in triplets])
+                                    for c in ("anchor", "positive", "negative")), 1.0)
+        backward(loss)
+        one_graph = {n: p.grad.copy() for n, p in params.items()}
+
+        params.zero_grad()
+        loss_val = _chunked_triplet_backward(embed, batch, step=0)
+        assert loss_val == pytest.approx(float(loss.data), rel=1e-6)
+        for n, p in params.items():
+            scale = np.abs(one_graph[n]).max()
+            assert scale > 0, n
+            np.testing.assert_allclose(p.grad, one_graph[n], rtol=1e-3,
+                                       atol=1e-4 * scale, err_msg=n)
+
+    def test_non_finite_loss_raises(self, rng):
+        embed, params = e2e_embedder(rng)
+        params["fe.head.fc.w"].data[0, 0] = np.nan
+        batch = TripletBatch(E2E_BATCHES["u4"], margin=1.0, checked=0, violators=0)
+        with pytest.raises(ContractError, match="diverged at step 3"):
+            _chunked_triplet_backward(embed, batch, step=3)
+
+    def test_step_memory_does_not_grow_with_batch(self, finished_run, tmp_path):
+        # one stage-9 step holds one chunk's graph, whatever e2e.batch is
+        _, paths, _ = finished_run
+        peaks = {}
+        for e2e_batch in (6, 30):
+            out = tmp_path / f"batch{e2e_batch}"
+            shutil.copytree(paths.root, out)
+            tracemalloc.start()
+            try:
+                stage_finetune_e2e(micro_config(out, e2e_batch=e2e_batch))
+                peaks[e2e_batch] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert peaks[30] < 1.5 * peaks[6], peaks
 
 
 class TestTransformTargets:

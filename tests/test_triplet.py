@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from palmvein import (
+    Adam,
     ConfigError,
     ContractError,
     DimensionError,
@@ -15,13 +16,16 @@ from palmvein import (
     backward,
     check_gradients,
 )
-from palmvein.fe import FEConfig, standard_stages, build_fe, embed_batch
+import palmvein.fe as fe_module
+from palmvein.fe import (FEConfig, build_fe, embed_batch, fe_apply, head_apply,
+                         pooled_trunk_batch, set_trainable, standard_stages)
 from palmvein.triplet import (
     MarginSchedule,
     StepLog,
     Triplet,
     TripletHyper,
     build_batch,
+    dataset_images,
     margin_at,
     mine_hard_negatives,
     train_triplet,
@@ -269,6 +273,23 @@ class TestMining:
             mine_hard_negatives(anchor, pool, 0.5, -0.4)
 
 
+def table_of(fe, data):
+    """The embedding table ``build_batch`` mines against."""
+    return embed_batch(fe, dataset_images(data))
+
+
+def corner_rows(data, batch, corner):
+    """Row of each triplet's ``corner`` sample in ``dataset_images(data)``."""
+    keys = [(sid, i) for sid in sorted(data) for i in range(len(data[sid]))]
+    row_of = {key: r for r, key in enumerate(keys)}
+    return [row_of[getattr(t, corner)] for t in batch.triplets]
+
+
+def param_values_grad(params):
+    """A copy of every parameter's gradient, by name."""
+    return {name: t.grad.copy() for name, t in params.items()}
+
+
 def make_dataset(rng, n_subjects=4, n_samples=3, size=32, noise=0.05):
     """Random dataset: one base pattern per subject plus per-pose noise."""
     data = {}
@@ -284,7 +305,7 @@ class TestBuildBatch:
         fe = tiny_fe()
         data = make_dataset(rng)
         sched = MarginSchedule(total_steps=100)
-        batch = build_batch(data, fe, sched, step=30, seed=0, subset_size=8)
+        batch = build_batch(data, table_of(fe, data), sched, step=30, seed=0, subset_size=8)
         assert len(batch.triplets) == 90
         assert batch.margin == margin_at(30, sched)
         for t in batch.triplets:
@@ -296,15 +317,16 @@ class TestBuildBatch:
         fe = tiny_fe()
         data = make_dataset(rng)
         sched = MarginSchedule(total_steps=50)
-        a = build_batch(data, fe, sched, step=7, batch_size=20, seed=3, subset_size=8)
-        b = build_batch(data, fe, sched, step=7, batch_size=20, seed=3, subset_size=8)
+        table = table_of(fe, data)
+        a = build_batch(data, table, sched, step=7, batch_size=20, seed=3, subset_size=8)
+        b = build_batch(data, table, sched, step=7, batch_size=20, seed=3, subset_size=8)
         assert a == b
 
     def test_mining_stats_accumulate(self, rng):
         fe = tiny_fe()
         data = make_dataset(rng, n_subjects=3, n_samples=2)
         sched = MarginSchedule(total_steps=10)
-        batch = build_batch(data, fe, sched, step=0, batch_size=15, seed=0,
+        batch = build_batch(data, table_of(fe, data), sched, step=0, batch_size=15, seed=0,
                             subset_size=8)
         # pool per anchor = 2 other subjects x 2 samples = 4 candidates
         assert batch.checked == 15 * 4
@@ -315,11 +337,11 @@ class TestBuildBatch:
         sched = MarginSchedule(total_steps=10)
         one = {0: [rng.uniform(size=(3, 32, 32)).astype(np.float32)] * 3}
         with pytest.raises(ContractError):
-            build_batch(one, fe, sched, 0)
+            build_batch(one, table_of(fe, one), sched, 0)
         thin = make_dataset(rng, n_subjects=2, n_samples=3)
         thin[1] = thin[1][:1]  # second subject has a single sample
         with pytest.raises(ContractError):
-            build_batch(thin, fe, sched, 0)
+            build_batch(thin, table_of(fe, thin), sched, 0)
 
 
 class TestTraining:
@@ -383,6 +405,72 @@ class TestTraining:
         first = np.mean([e.loss for e in log[:5]])
         last = np.mean([e.loss for e in log[-5:]])
         assert last < first
+
+    def test_frozen_step_matches_live_path(self, rng):
+        # one step's loss and head gradients, from cached pooled trunk rows
+        # and from the full extractor on the images
+        fe = tiny_fe()
+        set_trainable(fe, trunk=False, head=True)
+        data = make_dataset(rng)
+        images = dataset_images(data)
+        batch = build_batch(data, table_of(fe, data), MarginSchedule(total_steps=10), 0,
+                            batch_size=12, seed=0, subset_size=8)
+        rows = [corner_rows(data, batch, c) for c in ("anchor", "positive", "negative")]
+        pooled = pooled_trunk_batch(fe, images)
+        grads = []
+        for embed, inputs in ((head_apply, pooled), (fe_apply, images)):
+            fe.params.zero_grad()
+            loss = triplet_loss_batch(*(embed(fe, Tensor(inputs[r])) for r in rows),
+                                      batch.margin)
+            backward(loss)
+            grads.append((float(loss.data), param_values_grad(fe.head)))
+            assert all(t.grad is None for t in fe.trunk.tensors())
+        (cached_loss, cached), (live_loss, live) = grads
+        assert cached_loss == pytest.approx(live_loss, rel=1e-6)
+        for name in live:
+            np.testing.assert_allclose(cached[name], live[name], rtol=1e-4, atol=1e-6)
+
+    def test_frozen_run_matches_live_loop(self, rng):
+        data = make_dataset(rng)
+        sched = MarginSchedule(total_steps=5)
+        hyper = TripletHyper(batch_size=8, seed=0, subset_size=8, stabilize_window=100)
+        fe = tiny_fe()
+        log = train_triplet(fe, data, sched, hyper)
+
+        live = tiny_fe()
+        set_trainable(live, trunk=False, head=True)
+        opt = Adam(live.params, lr=hyper.lr)
+        images = dataset_images(data)
+        for step, entry in enumerate(log):
+            batch = build_batch(data, embed_batch(live, images), sched, step,
+                                batch_size=hyper.batch_size, seed=hyper.seed,
+                                subset_size=hyper.subset_size)
+            loss = triplet_loss_batch(
+                *(fe_apply(live, Tensor(images[corner_rows(data, batch, c)]))
+                  for c in ("anchor", "positive", "negative")), batch.margin)
+            opt.zero_grad()
+            backward(loss)
+            opt.step()
+            assert entry.loss == pytest.approx(float(loss.data), rel=1e-5)
+            assert entry.violator_rate == batch.violator_rate
+        for name, t in live.params.items():
+            np.testing.assert_allclose(fe.params[name].data, t.data, rtol=1e-5, atol=1e-6)
+
+    def test_trunk_runs_once_while_frozen(self, rng, monkeypatch):
+        data = make_dataset(rng)
+        images = []
+        original = fe_module.pooled_trunk_apply
+
+        def counting(model, x):
+            images.append(x.shape[0])
+            return original(model, x)
+
+        monkeypatch.setattr(fe_module, "pooled_trunk_apply", counting)
+        log = train_triplet(tiny_fe(), data, MarginSchedule(total_steps=4),
+                            TripletHyper(batch_size=8, seed=0, subset_size=8,
+                                         stabilize_window=100))
+        assert all(e.phase == "frozen" for e in log)
+        assert sum(images) == sum(len(v) for v in data.values())
 
     def test_nan_divergence_aborts(self, rng):
         fe = tiny_fe()
