@@ -26,6 +26,7 @@ from .tensor import (
     linear_params,
     maxpool2,
     mse_loss,
+    no_grad,
     relu,
     upsample2_nearest,
 )
@@ -77,6 +78,7 @@ __all__ = [
     "linear_params",
     "maxpool2",
     "mse_loss",
+    "no_grad",
     "parse_kv",
     "relu",
     "run_battery",

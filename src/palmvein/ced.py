@@ -26,6 +26,7 @@ from .tensor import (
     conv_params,
     maxpool2,
     mse_loss,
+    no_grad,
     relu,
     upsample2_nearest,
 )
@@ -128,12 +129,14 @@ def ced_apply(model: CEDModel, x: Tensor) -> Tensor:
 
 
 def ced_forward(model: CEDModel, images: np.ndarray) -> np.ndarray:
-    """Inference on a [N,H,W] batch, 32 images per forward; returns float32."""
+    """Inference on a [N,H,W] batch, 32 images per forward and no graph;
+    returns float32."""
     imgs = np.asarray(images, dtype=np.float32)
     if imgs.ndim != 3:
         raise DimensionError(f"expected [N,H,W], got {imgs.ndim} dims")
-    outs = [ced_apply(model, Tensor(imgs[s:s + _FORWARD_CHUNK, None])).data[:, 0]
-            for s in range(0, imgs.shape[0], _FORWARD_CHUNK)]
+    with no_grad():
+        outs = [ced_apply(model, Tensor(imgs[s:s + _FORWARD_CHUNK, None])).data[:, 0]
+                for s in range(0, imgs.shape[0], _FORWARD_CHUNK)]
     return np.concatenate(outs, axis=0)
 
 

@@ -34,6 +34,7 @@ from .tensor import (
     linear_params,
     maxpool2,
     mse_loss,
+    no_grad,
     relu,
     upsample2_nearest,
 )
@@ -177,18 +178,21 @@ def _forward_chunks(apply_fn, model: FEModel, mcis: np.ndarray) -> np.ndarray:
     arr = np.asarray(mcis, dtype=np.float32)
     if arr.ndim != 4:
         raise DimensionError(f"expected [N,C,H,W], got {arr.ndim} dims")
-    outs = [apply_fn(model, Tensor(arr[s:s + _EMBED_CHUNK])).data
-            for s in range(0, arr.shape[0], _EMBED_CHUNK)]
+    with no_grad():
+        outs = [apply_fn(model, Tensor(arr[s:s + _EMBED_CHUNK])).data
+                for s in range(0, arr.shape[0], _EMBED_CHUNK)]
     return np.concatenate(outs, axis=0)
 
 
 def embed_batch(model: FEModel, mcis: np.ndarray) -> np.ndarray:
-    """Embed [N,3,H,W], 64 images per forward; returns [N,embedding_dim] float32."""
+    """Embed [N,3,H,W], 64 images per forward and no graph; returns
+    [N,embedding_dim] float32."""
     return _forward_chunks(fe_apply, model, mcis)
 
 
 def pooled_trunk_batch(model: FEModel, mcis: np.ndarray) -> np.ndarray:
-    """Pooled trunk features of [N,3,H,W], 64 images per forward: [N,flat_dim]."""
+    """Pooled trunk features of [N,3,H,W], 64 images per forward and no graph:
+    [N,flat_dim]."""
     return _forward_chunks(pooled_trunk_apply, model, mcis)
 
 

@@ -19,7 +19,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import ContractError
-from .tensor import ParamSet, Tensor, backward
+from .tensor import ParamSet, Tensor, backward, no_grad
 
 REL_FLOOR = 1e-6
 
@@ -58,7 +58,8 @@ def check_gradients(params: ParamSet,
     """Compare backprop gradients against central finite differences.
 
     `loss_fn` must rebuild the computation graph from the parameters' current
-    .data on every call and return a scalar loss. Relative error per element
+    .data on every call and return a scalar loss; the finite-difference probes
+    call it under `no_grad`. Relative error per element
     is |analytic - numeric| / max(|analytic|, |numeric|, floor); a parameter's
     score is the max over its checked elements. Frozen or unreachable
     parameters are reported as having no gradient and are not scored.
@@ -110,10 +111,11 @@ def check_gradients(params: ParamSet,
             worst = 0.0
             for i in idx:
                 saved = flat[i]
-                flat[i] = saved + eps
-                f_plus = loss_fn().item()
-                flat[i] = saved - eps
-                f_minus = loss_fn().item()
+                with no_grad():
+                    flat[i] = saved + eps
+                    f_plus = loss_fn().item()
+                    flat[i] = saved - eps
+                    f_minus = loss_fn().item()
                 flat[i] = saved
                 numeric = (f_plus - f_minus) / (2.0 * eps)
                 an = float(a_flat[i])

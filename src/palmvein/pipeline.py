@@ -40,7 +40,7 @@ from .fe import FEModel, build_fe, embed_batch, fe_apply, pretrain_autoencoder, 
     set_trainable
 from .optim import Adam
 from .synth import AugmentConfig, augment, build_dataset
-from .tensor import ParamSet, Tensor, backward, concat_channels
+from .tensor import ParamSet, Tensor, backward, concat_channels, no_grad
 from .transforms import irt, tcm
 from .triplet import MarginSchedule, StepLog, TripletBatch, build_batch, dataset_images, \
     train_triplet, triplet_loss_batch, write_training_log
@@ -419,7 +419,7 @@ def _load_training_pool(cfg: PipelineConfig, paths: RunPaths,
                         stage: str) -> dict[int, list[np.ndarray]]:
     records = _read_records(paths, stage)
     entries = _training_entries(records, cfg.aug_copies)
-    path = _require(paths.features, stage, "finetune-stack")
+    path = _require(paths.features, stage, "assemble-features")
     try:
         with np.load(path) as npz:
             return {sid: [npz[_entry_key(e)] for e in es] for sid, es in entries.items()}
@@ -458,8 +458,8 @@ def _chunked_triplet_backward(embed: Callable[[list[tuple[int, int]]], Tensor],
     accumulated one chunk graph at a time (gradient caching).
 
     ``embed(refs)`` maps sample references to an ``[n, d]`` embedding tensor
-    with a graph. Each distinct corner sample is embedded once, in chunks of
-    ``_E2E_CHUNK`` whose graphs are dropped at once. The loss and its
+    with a graph. Each distinct corner sample is first embedded once, in
+    chunks of ``_E2E_CHUNK`` under ``no_grad``. The loss and its
     gradient with respect to those embeddings come from row gathers held as
     leaves; a sample in several corners gets the sum of its rows' gradients.
     Each chunk is then embedded again with a graph and backpropagated against
@@ -469,7 +469,8 @@ def _chunked_triplet_backward(embed: Callable[[list[tuple[int, int]]], Tensor],
                               for c in (t.anchor, t.positive, t.negative)))
     row_of = {ref: r for r, ref in enumerate(refs)}
     starts = range(0, len(refs), _E2E_CHUNK)
-    emb = np.concatenate([embed(refs[s:s + _E2E_CHUNK]).data for s in starts])
+    with no_grad():
+        emb = np.concatenate([embed(refs[s:s + _E2E_CHUNK]).data for s in starts])
 
     rows = [np.array([row_of[getattr(t, corner)] for t in batch.triplets])
             for corner in ("anchor", "positive", "negative")]
@@ -493,10 +494,10 @@ def _chunked_triplet_backward(embed: Callable[[list[tuple[int, int]]], Tensor],
 def stage_finetune_e2e(cfg: PipelineConfig) -> None:
     """Joint finetuning: gradients reach both CEDs and the FE.
 
-    Hard negatives are mined against feature images computed once at stage
-    start (with the current CEDs); the training step itself recomputes the
-    batch's feature stacks inside the live graph so the CEDs receive
-    gradients through the triplet loss. It does so in chunks of
+    Hard negatives are mined against the feature images stage 6 saved, which
+    are those of the CEDs as this stage starts; the training step itself
+    recomputes the batch's feature stacks inside the live graph so the CEDs
+    receive gradients through the triplet loss. It does so in chunks of
     ``_E2E_CHUNK`` distinct samples, so its memory does not grow with
     ``e2e.batch``.
     """
@@ -510,8 +511,7 @@ def stage_finetune_e2e(cfg: PipelineConfig) -> None:
 
     raw_pool = {sid: [_entry_raw(e, images, cfg.seed).astype(np.float32) for e in es]
                 for sid, es in entries.items()}
-    static_ds = {sid: list(extract_features_batch(stacked, np.stack(raws)))
-                 for sid, raws in raw_pool.items()}
+    static_ds = _load_training_pool(cfg, paths, stage)
     static_mcis = dataset_images(static_ds)
 
     # constant margin at the schedule's final value throughout this phase

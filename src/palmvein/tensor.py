@@ -2,6 +2,8 @@
 
 Tensors wrap contiguous numpy arrays (float32 in production, float64 in the
 gradient-check shadow mode) and record a computation graph through closures.
+Inside ``no_grad`` no graph is recorded. ``backward`` consumes the graph it
+walks, freeing each interior node's gradient and closure once they are used.
 Only the primitives the vein networks need are provided; there is no
 broadcasting beyond scalars, no GPU path, and no dynamic shapes inside a
 graph.
@@ -9,6 +11,7 @@ graph.
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 import numpy as np
@@ -16,6 +19,29 @@ import numpy as np
 from .errors import ContractError, DegenerateVectorError, DimensionError
 
 EPS_NORM = 1e-8
+
+_grad_enabled = True
+
+
+@contextmanager
+def no_grad() -> Iterator[None]:
+    """Record no graph for ops run inside the block: outputs have no parents.
+
+    Forward values are the same arithmetic as with a graph. Blocks nest, and
+    the previous state comes back on exit, also on an exception. The flag is
+    process-global, not per thread: every tensor op runs on the main thread
+    (``irt``'s helper threads run plain numpy).
+    """
+    global _grad_enabled
+    previous, _grad_enabled = _grad_enabled, False
+    try:
+        yield
+    finally:
+        _grad_enabled = previous
+
+
+def _consumed(g: np.ndarray) -> None:
+    raise ContractError("backward through a graph that an earlier backward consumed")
 
 
 def _as_array(data, dtype=None) -> np.ndarray:
@@ -46,7 +72,7 @@ class Tensor:
         out = cls.__new__(cls)
         out.data = data
         out.grad = None
-        out.requires_grad = any(p.requires_grad for p in parents)
+        out.requires_grad = _grad_enabled and any(p.requires_grad for p in parents)
         if out.requires_grad:
             out._parents = parents
             out._backward_fn = backward_fn
@@ -196,10 +222,14 @@ class Tensor:
 
 
 def backward(loss: Tensor) -> None:
-    """Populate grad buffers of every tensor reachable from `loss`.
+    """Populate grad buffers of every leaf tensor reachable from `loss`.
 
     The loss must be scalar. Traversal is topological; every node's backward
     closure runs exactly once. Tensors with requires_grad=False are skipped.
+    The graph is consumed as it goes: once an interior node's closure has run
+    (all its consumers ran before it), its grad, closure and parents are
+    dropped, so its buffers are freed unless the caller holds it. Leaves keep
+    their grads. A later backward through a consumed node raises ContractError.
     """
     if loss.data.size != 1:
         raise ContractError(f"backward requires a scalar loss, got shape {loss.data.shape}")
@@ -223,9 +253,13 @@ def backward(loss: Tensor) -> None:
                 stack.append((p, False))
 
     loss.grad = np.ones_like(loss.data)
-    for node in reversed(topo):
-        if node._backward_fn is not None and node.grad is not None:
+    while topo:
+        node = topo.pop()
+        if node._backward_fn is None:
+            continue  # a leaf
+        if node.grad is not None:
             node._backward_fn(node.grad)
+        node.grad, node._backward_fn, node._parents = None, _consumed, ()
 
 
 # ---------------------------------------------------------------------------
@@ -278,6 +312,21 @@ def _conv_core(x: np.ndarray, w: np.ndarray, pads: tuple[int, int, int, int]) ->
     return out
 
 
+def _conv_weight_grad(x: np.ndarray, g: np.ndarray, pads: tuple[int, int, int, int],
+                      shape: tuple[int, ...]) -> np.ndarray:
+    """Gradient of _conv_core's kernel, of `shape`, given upstream grad g.
+
+    The forward's offsets with the operands swapped: g laid out on the padded
+    width, zero in the wrap-around columns. Its padded copies of x and g die
+    on return, before the caller computes the input gradient.
+    """
+    n, co, _, wo = g.shape
+    _, wp, wins = _windows(x, pads, shape[2], shape[3])
+    gf = np.pad(g, ((0, 0), (0, 0), (0, 0), (0, wp - wo))).reshape(n, co, -1)
+    gw = [np.matmul(gf, win.transpose(0, 2, 1)).sum(axis=0) for win in wins]
+    return np.stack(gw, axis=-1).reshape(shape)
+
+
 def _conv_pads(padding: str, kh: int, kw: int) -> tuple[int, int, int, int]:
     if padding == "same":
         pt, pl = (kh - 1) // 2, (kw - 1) // 2
@@ -297,7 +346,7 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor, padding: str = "same") -> Te
     wd, bd = weight.data, bias.data
     if wd.ndim != 4:
         raise DimensionError(f"conv2d kernel must be [Co,Ci,kh,kw], got {wd.ndim} dims")
-    n, c, h, w_ = xd.shape
+    _, c, h, w_ = xd.shape
     co, ci, kh, kw = wd.shape
     if ci != c:
         raise DimensionError(f"conv2d channel axis: input has {c} channels, kernel expects {ci}")
@@ -310,17 +359,11 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor, padding: str = "same") -> Te
 
     out = _conv_core(xd, wd, pads)
     out += bd[None, :, None, None]
-    wo = out.shape[3]
 
     def bw(g):
         bias.accumulate_grad(g.sum(axis=(0, 2, 3)))
         if weight.requires_grad:
-            # the forward's offsets with the operands swapped: g laid out on
-            # the padded width, zero in the wrap-around columns
-            _, wp, wins = _windows(xd, pads, kh, kw)
-            gf = np.pad(g, ((0, 0), (0, 0), (0, 0), (0, wp - wo))).reshape(n, co, -1)
-            gw = [np.matmul(gf, win.transpose(0, 2, 1)).sum(axis=0) for win in wins]
-            weight.accumulate_grad(np.stack(gw, axis=-1).reshape(wd.shape))
+            weight.accumulate_grad(_conv_weight_grad(xd, g, pads, wd.shape))
         if x.requires_grad:
             # grad wrt input = correlation of upstream grad with the flipped,
             # channel-swapped kernel under complementary padding

@@ -25,7 +25,7 @@ from .errors import ConfigError, ContractError, DimensionError
 from .fe import FEModel, embed_batch, fe_apply, head_apply, pooled_trunk_batch, \
     set_trainable
 from .optim import Adam
-from .tensor import Tensor, backward, relu
+from .tensor import Tensor, backward, no_grad, relu
 
 __all__ = [
     "MarginSchedule",
@@ -366,7 +366,8 @@ def train_triplet(
             if pooled is None:
                 pooled = pooled_trunk_batch(fe, images)
             inputs, embed = pooled, head_apply
-            table = head_apply(fe, Tensor(pooled)).data
+            with no_grad():
+                table = head_apply(fe, Tensor(pooled)).data
         else:
             inputs, embed = images, fe_apply
             table = embed_batch(fe, images)

@@ -1,11 +1,14 @@
 """Encoder-decoder network tests: architecture arithmetic (pinned by hand),
-shape symmetry, merge-connection gradient flow, training behavior, stacking
-and feature extraction."""
+shape symmetry, merge-connection gradient flow, training behavior, stacking,
+feature extraction, and the memory of graph-free inference and of a backward
+pass that consumes its graph."""
+
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from palmvein import ConfigError, ContractError, DimensionError, Tensor, backward
+from palmvein import ConfigError, ContractError, DimensionError, Tensor, backward, mse_loss
 from palmvein.ced import (
     CEDConfig,
     TrainHyper,
@@ -18,6 +21,7 @@ from palmvein.ced import (
     stacked_apply,
     train_ced,
 )
+from palmvein.optim import Adam
 from palmvein.synth import generate_subject, render_sample
 from palmvein.transforms import tcm
 
@@ -275,3 +279,78 @@ class TestExtractFeatures:
             extract_features_batch(stacked, rng.uniform(size=(32, 32)))
         with pytest.raises(DimensionError):
             extract_features_batch(stacked, rng.uniform(size=(2, 3, 32, 32)))
+
+
+def keep_graph_backward(loss):
+    """Reference traversal: every closure once, in reverse topological order,
+    with nothing dropped, as backward ran before it consumed the graph."""
+    order, seen, stack = [], set(), [(loss, False)]
+    while stack:
+        node, expanded = stack.pop()
+        if expanded:
+            order.append(node)
+        elif id(node) not in seen:
+            seen.add(id(node))
+            stack.append((node, True))
+            stack.extend((p, False) for p in node._parents
+                         if p.requires_grad and id(p) not in seen)
+    loss.grad = np.ones_like(loss.data)
+    for node in reversed(order):
+        if node._backward_fn is not None and node.grad is not None:
+            node._backward_fn(node.grad)
+
+
+class TestGraphMemory:
+    """Desk-size CED (depth 3, 16 base channels, 64 px)."""
+
+    @pytest.fixture
+    def desk(self, rng):
+        model = build_ced(CEDConfig(), seed=0)
+        x = rng.uniform(size=(10, 1, 64, 64)).astype(np.float32)
+        t = rng.uniform(size=(10, 1, 64, 64)).astype(np.float32)
+        return model, x, t
+
+    def test_leaf_grads_bit_equal_to_keep_graph_traversal(self, desk):
+        model, x, t = desk
+        model.params.zero_grad()
+        keep_graph_backward(mse_loss(ced_apply(model, Tensor(x[:4])), Tensor(t[:4])))
+        want = {name: p.grad.copy() for name, p in model.params.items()}
+        model.params.zero_grad()
+        out = ced_apply(model, Tensor(x[:4]))
+        backward(mse_loss(out, Tensor(t[:4])))
+        assert out.grad is None and out._parents == ()
+        for name, p in model.params.items():
+            np.testing.assert_array_equal(p.grad, want[name], err_msg=name)
+
+    def test_training_step_peak_within_forward_footprint(self, desk):
+        # a step that kept every interior grad until the graph dropped
+        # peaked near 2x what its forward left live
+        model, x, t = desk
+        opt = Adam(model.params, lr=1e-3)
+        tracemalloc.start()
+        try:
+            opt.zero_grad()
+            loss = mse_loss(ced_apply(model, Tensor(x)), Tensor(t))
+            live = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            backward(loss)
+            opt.step()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.3 * live, (peak, live)
+
+    def test_inference_forward_peak_half_of_graph_forward(self, desk, rng):
+        model = desk[0]
+        imgs = rng.uniform(size=(32, 64, 64)).astype(np.float32)
+        peaks = []
+        for forward in (lambda: ced_forward(model, imgs),
+                        lambda: ced_apply(model, Tensor(imgs[:, None])).data[:, 0]):
+            tracemalloc.start()
+            try:
+                out = forward()
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+            assert out.shape == (32, 64, 64)
+        assert peaks[0] <= 0.5 * peaks[1], peaks

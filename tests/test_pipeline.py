@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import palmvein.ced as ced_module
+import palmvein.pipeline as pipeline_module
 from palmvein import (
     ContractError,
     PipelineConfig,
@@ -33,7 +34,7 @@ from palmvein.pipeline import (
     stage_evaluate,
     stage_finetune_e2e,
 )
-from palmvein.ced import build_ced, ced_apply, stack_ceds
+from palmvein.ced import build_ced, ced_apply, extract_features_batch, stack_ceds
 from palmvein.fe import build_fe, fe_apply
 from palmvein.tensor import ParamSet, Tensor, backward, concat_channels
 from palmvein.triplet import Triplet, TripletBatch, triplet_loss_batch
@@ -198,6 +199,47 @@ class TestFinetuneE2E:
         batch = TripletBatch(E2E_BATCHES["u4"], margin=1.0, checked=0, violators=0)
         with pytest.raises(ContractError, match="diverged at step 3"):
             _chunked_triplet_backward(embed, batch, step=3)
+
+    def test_ced_sees_only_live_chunks(self, finished_run, tmp_path, monkeypatch):
+        # mining reads stage 6's saved feature images, so the CEDs see only
+        # each step's distinct corner samples: once without a graph, once
+        # re-forwarded with one
+        _, paths, _ = finished_run
+        out = tmp_path / "run"
+        shutil.copytree(paths.root, out)
+        images, distinct = [], []
+        apply, mine = ced_module.ced_apply, pipeline_module.build_batch
+
+        def counting(model, x):
+            images.append(x.shape[0])
+            return apply(model, x)
+
+        def recording(*args, **kwargs):
+            batch = mine(*args, **kwargs)
+            distinct.append(len({c for tr in batch.triplets
+                                 for c in (tr.anchor, tr.positive, tr.negative)}))
+            return batch
+
+        monkeypatch.setattr(ced_module, "ced_apply", counting)
+        monkeypatch.setattr(pipeline_module, "ced_apply", counting)
+        monkeypatch.setattr(pipeline_module, "build_batch", recording)
+        stage_finetune_e2e(micro_config(out, e2e_steps=2))
+        assert len(distinct) == 2
+        assert sum(images) == 2 * 2 * sum(distinct)  # two CEDs, two passes
+
+    def test_saved_features_equal_the_stack_on_the_training_pool(self, finished_run):
+        # what stage 9 mines against: stage 6's rows, bit-equal to running
+        # the saved stack over each subject's raw training images
+        cfg, paths, _ = finished_run
+        stacked = pipeline_module._load_stack(cfg, paths, "test")
+        images = pipeline_module._load_images(paths, read_manifest(paths.manifest))
+        entries = pipeline_module._training_entries(
+            pipeline_module._read_records(paths, "test"), cfg.aug_copies)
+        pool = pipeline_module._load_training_pool(cfg, paths, "test")
+        for sid, es in entries.items():
+            raws = np.stack([pipeline_module._entry_raw(e, images, cfg.seed) for e in es])
+            np.testing.assert_array_equal(np.stack(pool[sid]),
+                                          extract_features_batch(stacked, raws))
 
     def test_step_memory_does_not_grow_with_batch(self, finished_run, tmp_path):
         # one stage-9 step holds one chunk's graph, whatever e2e.batch is

@@ -26,6 +26,7 @@ from palmvein import (
     linear,
     maxpool2,
     mse_loss,
+    no_grad,
     relu,
     upsample2_nearest,
 )
@@ -441,6 +442,54 @@ class TestArithmeticAndGraph:
     def test_item_requires_single_element(self, rng):
         with pytest.raises(ContractError):
             t64(rng.normal(size=3), False).item()
+
+
+class TestNoGradAndConsumedGraph:
+    def chain(self, x, w, b):
+        return l2_normalize(relu(conv2d(x, w, b, "same")).flatten_from(1) * 2.0 + 0.5)
+
+    def test_no_grad_output_bit_equal_and_detached(self, rng):
+        x, w, b = (t64(rng.normal(size=s)) for s in ((2, 3, 6, 5), (4, 3, 3, 3), (4,)))
+        graph = self.chain(x, w, b)
+        with no_grad():
+            free = self.chain(x, w, b)
+        np.testing.assert_array_equal(free.data, graph.data)
+        assert graph._parents and graph.requires_grad
+        assert free._parents == () and free._backward_fn is None and not free.requires_grad
+        backward(free.sum())  # nothing to do
+        assert x.grad is None and w.grad is None
+
+    def test_flag_restored_after_exception_and_nesting(self, rng):
+        x = t64(rng.normal(size=3))
+        with pytest.raises(RuntimeError):
+            with no_grad():
+                raise RuntimeError("inside")
+        assert (x * x).requires_grad
+        with no_grad():
+            with no_grad():
+                assert not (x * x).requires_grad
+            assert not (x * x).requires_grad
+        assert (x * x).requires_grad
+
+    def test_backward_frees_interior_grads_and_keeps_leaf_grads(self, rng):
+        x = t64(rng.normal(size=4))
+        y = x * 2.0
+        z = y * y
+        loss = z.sum()
+        backward(loss)
+        assert y.grad is None and z.grad is None and loss.grad is None
+        assert y._parents == () and z._parents == ()
+        np.testing.assert_allclose(x.grad, 8.0 * x.data)
+
+    def test_second_backward_through_consumed_graph_raises(self, rng):
+        x = t64(rng.normal(size=4))
+        y = x * 2.0
+        loss = (y * y).sum()
+        backward(loss)
+        with pytest.raises(ContractError, match="consumed"):
+            backward(loss)
+        with pytest.raises(ContractError, match="consumed"):
+            backward((y * 3.0).sum())
 
 
 class TestParamSet:
