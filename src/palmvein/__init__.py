@@ -30,7 +30,7 @@ from .tensor import (
     relu,
     upsample2_nearest,
 )
-from .optim import Adam, AdamState, adam_step
+from .optim import AdamState, adam_step
 from .gradcheck import BatteryCase, GradCheckReport, check_gradients, run_battery
 from .config import PipelineConfig, parse_kv, format_kv
 from .pipeline import (
@@ -45,7 +45,6 @@ from .pipeline import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "Adam",
     "AdamState",
     "BatteryCase",
     "ConfigError",

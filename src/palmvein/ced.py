@@ -15,23 +15,22 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError, ContractError, DimensionError
-from .optim import Adam
+from .optim import TrainHyper, fit_mse
 from .tensor import (
     ParamSet,
     Tensor,
-    backward,
     clamp01,
     concat_channels,
     conv2d,
     conv_params,
     maxpool2,
-    mse_loss,
     no_grad,
     relu,
     upsample2_nearest,
 )
 
 _FORWARD_CHUNK = 32  # images per inference forward; bounds conv temporaries
+_TAG_SHUFFLE = 0x7124  # minibatch order stream of CED and stack training
 
 
 @dataclass(frozen=True)
@@ -58,14 +57,6 @@ class CEDConfig:
 class CEDModel:
     config: CEDConfig
     params: ParamSet
-
-
-@dataclass
-class TrainHyper:
-    epochs: int = 30
-    batch_size: int = 10
-    lr: float = 1e-3
-    seed: int = 0
 
 
 def _add_conv(params: ParamSet, rng, name: str, c_out: int, c_in: int,
@@ -150,37 +141,14 @@ def _pairs_to_arrays(pairs) -> tuple[np.ndarray, np.ndarray]:
     return xs, ys
 
 
-def _run_epochs(apply_fn, params: ParamSet, xs, ys, hyper: TrainHyper) -> list[float]:
-    rng = np.random.default_rng([hyper.seed, 0x7124])
-    opt = Adam(params, lr=hyper.lr)
-    n = xs.shape[0]
-    bs = min(hyper.batch_size, n)
-    log = []
-    for _ in range(hyper.epochs):
-        order = rng.permutation(n)
-        losses = []
-        for start in range(0, n, bs):
-            sel = order[start:start + bs]
-            opt.zero_grad()
-            loss = mse_loss(apply_fn(Tensor(xs[sel])), Tensor(ys[sel]))
-            backward(loss)
-            opt.step()
-            losses.append(loss.item())
-        log.append(float(np.mean(losses)))
-        if not np.isfinite(log[-1]):
-            raise ContractError(f"training diverged: epoch loss {log[-1]}")
-    return log
-
-
-def train_ced(model: CEDModel, pairs, hyper: TrainHyper | None = None) -> list[float]:
+def train_ced(model: CEDModel, pairs, hyper: TrainHyper) -> list[float]:
     """Minimize MSE between ced output and targets with Adam.
 
     Returns the per-epoch mean training loss.
     """
-    if hyper is None:
-        hyper = TrainHyper()
     xs, ys = _pairs_to_arrays(pairs)
-    return _run_epochs(lambda x: ced_apply(model, x), model.params, xs, ys, hyper)
+    return fit_mse(lambda x: ced_apply(model, x), model.params, xs, ys, hyper,
+                   _TAG_SHUFFLE, "CED training")
 
 
 @dataclass
@@ -209,16 +177,11 @@ def stacked_apply(stacked: StackedCED, x: Tensor) -> Tensor:
     return ced_apply(stacked.second, ced_apply(stacked.first, x))
 
 
-def finetune_stacked(stacked: StackedCED, pairs, hyper: TrainHyper | None = None
-                     ) -> list[float]:
+def finetune_stacked(stacked: StackedCED, pairs, hyper: TrainHyper) -> list[float]:
     """Jointly train both CEDs of a stack against (original, target) pairs."""
-    if hyper is None:
-        hyper = TrainHyper()
     xs, ys = _pairs_to_arrays(pairs)
-    if hyper.epochs == 0:
-        return []
-    return _run_epochs(lambda x: stacked_apply(stacked, x), stacked.params,
-                       xs, ys, hyper)
+    return fit_mse(lambda x: stacked_apply(stacked, x), stacked.params, xs, ys, hyper,
+                   _TAG_SHUFFLE, "stack fine-tune")
 
 
 def extract_features_batch(stacked: StackedCED, images: np.ndarray) -> np.ndarray:

@@ -12,9 +12,10 @@ from dataclasses import dataclass, fields, replace
 from pathlib import Path
 from typing import Mapping
 
-from .ced import CEDConfig, TrainHyper
+from .ced import CEDConfig
 from .errors import ConfigError
-from .fe import AEHyper, FEConfig, standard_stages
+from .fe import FEConfig, standard_stages
+from .optim import TrainHyper
 from .triplet import MarginSchedule, TripletHyper
 
 __all__ = ["PipelineConfig", "format_kv", "parse_kv"]
@@ -148,9 +149,9 @@ class PipelineConfig:
         return TrainHyper(epochs=self.stack_epochs, batch_size=self.stack_batch,
                           lr=self.stack_lr, seed=seed)
 
-    def ae_hyper(self, seed: int) -> AEHyper:
-        return AEHyper(epochs=self.ae_epochs, batch_size=self.ae_batch,
-                       lr=self.ae_lr, seed=seed)
+    def ae_hyper(self, seed: int) -> TrainHyper:
+        return TrainHyper(epochs=self.ae_epochs, batch_size=self.ae_batch,
+                          lr=self.ae_lr, seed=seed)
 
     def triplet_hyper(self, seed: int) -> TripletHyper:
         return TripletHyper(batch_size=self.triplet_batch, lr=self.triplet_lr,

@@ -19,12 +19,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, ContractError, DimensionError
-from .optim import Adam
+from .optim import TrainHyper, fit_mse
 from .tensor import (
     ParamSet,
     Tensor,
     adaptive_avg_pool2d,
-    backward,
     clamp01,
     concat_channels,
     conv2d,
@@ -33,7 +32,6 @@ from .tensor import (
     linear,
     linear_params,
     maxpool2,
-    mse_loss,
     no_grad,
     relu,
     upsample2_nearest,
@@ -207,14 +205,6 @@ def set_trainable(model: FEModel, trunk: bool, head: bool) -> None:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class AEHyper:
-    epochs: int = 10
-    batch_size: int = 8
-    lr: float = 1e-3
-    seed: int = 0
-
-
 def build_mirror_decoder(config: FEConfig, seed: int = 0) -> ParamSet:
     """Decoder mirroring the trunk: per encoder stage in reverse, upsample
     (if that stage pooled) then a 3x3 conv back to the stage's input width."""
@@ -243,17 +233,11 @@ def decoder_apply(config: FEConfig, dec: ParamSet, feat: Tensor) -> Tensor:
     return x
 
 
-def pretrain_autoencoder(model: FEModel, images: np.ndarray | list,
-                         hyper: AEHyper | None = None) -> tuple[ParamSet, list[float]]:
-    """Train trunk+mirror-decoder to reconstruct the inputs; discard decoder.
-
-    `images` is [N,3,H,W] (or a list of [3,H,W]). Returns the trained trunk
-    ParamSet (the model's own, updated in place) and the per-epoch loss log.
-    """
-    if hyper is None:
-        hyper = AEHyper()
-    arr = np.stack([np.asarray(im, dtype=np.float32) for im in images]) \
-        if isinstance(images, list) else np.asarray(images, dtype=np.float32)
+def pretrain_autoencoder(model: FEModel, images: np.ndarray, hyper: TrainHyper) -> list[float]:
+    """Train trunk+mirror-decoder to reconstruct the [N,3,H,W] inputs, updating
+    the model's trunk in place; discard the decoder. Returns the per-epoch
+    loss log."""
+    arr = np.asarray(images, dtype=np.float32)
     if arr.ndim != 4 or arr.shape[0] < 1:
         raise ContractError("pretraining requires at least one [3,H,W] image")
     cfg = model.config
@@ -266,28 +250,9 @@ def pretrain_autoencoder(model: FEModel, images: np.ndarray | list,
     joint = ParamSet.union(("trunk", model.trunk), ("dec", dec))
     was_trainable = [t.requires_grad for t in model.trunk.tensors()]
     model.trunk.set_requires_grad(True)
-    opt = Adam(joint, lr=hyper.lr)
-    rng = np.random.default_rng([hyper.seed, 0xAE])
-    n = arr.shape[0]
-    bs = min(hyper.batch_size, n)
-    log = []
     try:
-        for _ in range(hyper.epochs):
-            order = rng.permutation(n)
-            losses = []
-            for start in range(0, n, bs):
-                sel = order[start:start + bs]
-                batch = Tensor(arr[sel])
-                opt.zero_grad()
-                recon = decoder_apply(cfg, dec, trunk_apply(model, batch))
-                loss = mse_loss(recon, batch)
-                backward(loss)
-                opt.step()
-                losses.append(loss.item())
-            log.append(float(np.mean(losses)))
-            if not np.isfinite(log[-1]):
-                raise ContractError(f"autoencoder diverged: epoch loss {log[-1]}")
+        return fit_mse(lambda x: decoder_apply(cfg, dec, trunk_apply(model, x)), joint,
+                       arr, arr, hyper, 0xAE, "autoencoder")
     finally:
         for t, flag in zip(model.trunk.tensors(), was_trainable):
             t.requires_grad = flag
-    return model.trunk, log

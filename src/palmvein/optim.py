@@ -1,13 +1,25 @@
-"""Adam optimizer operating on a ParamSet."""
+"""Adam on a ParamSet, and the one training loop every stage runs."""
 
 from __future__ import annotations
 
+import logging
 from dataclasses import dataclass, field
+from typing import Callable, Iterable
 
 import numpy as np
 
 from .errors import ContractError
-from .tensor import ParamSet
+from .tensor import ParamSet, Tensor, backward, mse_loss
+
+logger = logging.getLogger(__name__)
+
+
+@dataclass
+class TrainHyper:
+    epochs: int = 30
+    batch_size: int = 10
+    lr: float = 1e-3
+    seed: int = 0
 
 
 @dataclass
@@ -51,20 +63,46 @@ def adam_step(params: ParamSet, state: AdamState, lr: float = 1e-3,
         p.data -= (lr * m_hat / (np.sqrt(v_hat) + eps)).astype(p.data.dtype, copy=False)
 
 
-class Adam:
-    """Convenience wrapper pairing a ParamSet with its AdamState."""
+def fit(params: ParamSet, lr: float, batches: Iterable,
+        grad_step: Callable[[int, object], float], what: str) -> list[float]:
+    """Train ``params`` with one Adam update per batch; returns each step's loss.
 
-    def __init__(self, params: ParamSet, lr: float = 1e-3,
-                 beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
-        self.params = params
-        self.state = AdamState()
-        self.lr = lr
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
+    ``grad_step(step, batch)`` fills the gradients of ``params`` (cleared
+    before each call) and returns the loss as a float. A non-finite loss
+    raises ``ContractError`` naming ``what`` and the step, before that step's
+    update.
+    """
+    state = AdamState()
+    losses = []
+    for step, batch in enumerate(batches):
+        params.zero_grad()
+        loss = grad_step(step, batch)
+        if not np.isfinite(loss):
+            raise ContractError(f"{what} diverged at step {step}: loss {loss}")
+        adam_step(params, state, lr)
+        logger.info("%s step %d: loss %.5f", what, step, loss)
+        losses.append(loss)
+    return losses
 
-    def step(self) -> None:
-        adam_step(self.params, self.state, self.lr, self.beta1, self.beta2, self.eps)
 
-    def zero_grad(self) -> None:
-        self.params.zero_grad()
+def fit_mse(apply_fn: Callable[[Tensor], Tensor], params: ParamSet, xs: np.ndarray,
+            ys: np.ndarray, hyper: TrainHyper, tag: int, what: str) -> list[float]:
+    """Minibatch MSE of ``apply_fn(xs)`` against ``ys`` through ``fit``, one
+    permutation per epoch drawn from ``(hyper.seed, tag)``; returns the
+    per-epoch mean loss."""
+    rng = np.random.default_rng([hyper.seed, tag])
+    n = xs.shape[0]
+    bs = min(hyper.batch_size, n)
+    batches = (order[start:start + bs]
+               for order in (rng.permutation(n) for _ in range(hyper.epochs))
+               for start in range(0, n, bs))
+
+    def grad_step(step: int, sel: np.ndarray) -> float:
+        loss = mse_loss(apply_fn(Tensor(xs[sel])), Tensor(ys[sel]))
+        backward(loss)
+        return loss.item()
+
+    losses = fit(params, hyper.lr, batches, grad_step, what)
+    per_epoch = -(-n // bs)
+    return [float(np.mean(losses[s:s + per_epoch]))
+            for s in range(0, len(losses), per_epoch)]

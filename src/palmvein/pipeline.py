@@ -22,7 +22,6 @@ downstream results as an uninterrupted run.  A stage failure raises
 
 from __future__ import annotations
 
-import logging
 import time
 import zipfile
 from dataclasses import dataclass
@@ -38,7 +37,7 @@ from .errors import ContractError, StageError
 from .evalkit import EvalReport, build_report, emit_report, match_score
 from .fe import FEModel, build_fe, embed_batch, fe_apply, pretrain_autoencoder, \
     set_trainable
-from .optim import Adam
+from .optim import fit
 from .synth import AugmentConfig, augment, build_dataset
 from .tensor import ParamSet, Tensor, backward, concat_channels, no_grad
 from .transforms import irt, tcm
@@ -57,8 +56,6 @@ __all__ = [
     "run_stages",
     "verify_probe",
 ]
-
-logger = logging.getLogger(__name__)
 
 # Independent seed streams per consumer, so adding one never shifts another.
 _TAG_DATA = 0xD47A
@@ -432,8 +429,7 @@ def stage_pretrain_ae(cfg: PipelineConfig) -> None:
     pool = _load_training_pool(cfg, paths, "pretrain-ae")
     images = np.concatenate([np.stack(mcis) for mcis in pool.values()])
     fe = build_fe(cfg.fe_config(), seed=derive_seed(cfg.seed, _TAG_FE))
-    _, losses = pretrain_autoencoder(fe, images,
-                                     cfg.ae_hyper(derive_seed(cfg.seed, _TAG_AE)))
+    losses = pretrain_autoencoder(fe, images, cfg.ae_hyper(derive_seed(cfg.seed, _TAG_AE)))
     paths.checkpoints.mkdir(parents=True, exist_ok=True)
     save_weights(fe.params, paths.checkpoint(CKPT_FE_PRETRAINED))
     paths.ae_log.write_text(
@@ -453,7 +449,7 @@ def stage_train_triplet(cfg: PipelineConfig) -> None:
 
 
 def _chunked_triplet_backward(embed: Callable[[list[tuple[int, int]]], Tensor],
-                              batch: TripletBatch, step: int) -> float:
+                              batch: TripletBatch) -> float:
     """Triplet loss of ``batch``, with its exact parameter gradients
     accumulated one chunk graph at a time (gradient caching).
 
@@ -476,10 +472,6 @@ def _chunked_triplet_backward(embed: Callable[[list[tuple[int, int]]], Tensor],
             for corner in ("anchor", "positive", "negative")]
     leaves = [Tensor(emb[r], requires_grad=True) for r in rows]
     loss = triplet_loss_batch(*leaves, batch.margin)
-    loss_val = float(loss.data)
-    if not np.isfinite(loss_val):
-        raise ContractError(
-            f"end-to-end training diverged at step {step} (non-finite loss)")
     backward(loss)
     grad = np.zeros_like(emb)
     for leaf, r in zip(leaves, rows):
@@ -488,7 +480,7 @@ def _chunked_triplet_backward(embed: Callable[[list[tuple[int, int]]], Tensor],
     for s in starts:
         chunk = embed(refs[s:s + _E2E_CHUNK])
         backward((chunk * Tensor(grad[s:s + _E2E_CHUNK])).sum())
-    return loss_val
+    return float(loss.data)
 
 
 def stage_finetune_e2e(cfg: PipelineConfig) -> None:
@@ -518,8 +510,7 @@ def stage_finetune_e2e(cfg: PipelineConfig) -> None:
     sched = MarginSchedule(total_steps=max(cfg.e2e_steps, 1),
                            m_start=cfg.margin_end, m_end=cfg.margin_end)
     set_trainable(fe, trunk=True, head=True)
-    opt = Adam(ParamSet.union(("stack", stacked.params), ("fe", fe.params)),
-               lr=cfg.effective_e2e_lr)
+    params = ParamSet.union(("stack", stacked.params), ("fe", fe.params))
     e2e_seed = derive_seed(cfg.seed, _TAG_E2E)
 
     def live_embeddings(refs: list[tuple[int, int]]) -> Tensor:
@@ -529,21 +520,20 @@ def stage_finetune_e2e(cfg: PipelineConfig) -> None:
         return fe_apply(fe, concat_channels(concat_channels(x, mid), out))
 
     logs: list[StepLog] = []
-    for step in range(cfg.e2e_steps):
+
+    def grad_step(step: int, _) -> float:
         batch = build_batch(static_ds, embed_batch(fe, static_mcis), sched, step,
                             batch_size=cfg.e2e_batch, seed=e2e_seed,
                             subset_size=cfg.triplet_subset)
-        opt.zero_grad()
-        loss_val = _chunked_triplet_backward(live_embeddings, batch, step)
-        opt.step()
+        loss_val = _chunked_triplet_backward(live_embeddings, batch)
         logs.append(StepLog(step=step, loss=loss_val, margin=batch.margin,
                             violator_rate=batch.violator_rate, phase="e2e"))
-        logger.info("e2e step %d: loss %.5f, violators %.2f",
-                    step, loss_val, batch.violator_rate)
+        return loss_val
+
+    fit(params, cfg.effective_e2e_lr, range(cfg.e2e_steps), grad_step, "end-to-end training")
 
     paths.checkpoints.mkdir(parents=True, exist_ok=True)
-    save_weights(ParamSet.union(("stack", stacked.params), ("fe", fe.params)),
-                 paths.checkpoint(CKPT_E2E))
+    save_weights(params, paths.checkpoint(CKPT_E2E))
     write_training_log(logs, paths.e2e_log)
 
 

@@ -24,7 +24,7 @@ import numpy as np
 from .errors import ConfigError, ContractError, DimensionError
 from .fe import FEModel, embed_batch, fe_apply, head_apply, pooled_trunk_batch, \
     set_trainable
-from .optim import Adam
+from .optim import fit
 from .tensor import Tensor, backward, no_grad, relu
 
 __all__ = [
@@ -350,7 +350,6 @@ def train_triplet(
     """
     _validate_dataset(dataset)
     set_trainable(fe, trunk=False, head=True)
-    opt = Adam(fe.params, lr=hyper.lr)
     images = dataset_images(dataset)
     row_of = {key: r for r, key in enumerate(_sample_keys(dataset))}
     pooled: np.ndarray | None = None  # pooled trunk rows, kept while frozen
@@ -361,7 +360,8 @@ def train_triplet(
     prev_mean: float | None = None
     stable = windows_done = 0
 
-    for step in range(schedule.total_steps):
+    def grad_step(step: int, _) -> float:
+        nonlocal pooled, phase, prev_mean, stable, windows_done
         if phase == "frozen":
             if pooled is None:
                 pooled = pooled_trunk_batch(fe, images)
@@ -379,16 +379,12 @@ def train_triplet(
                        for corner in ("anchor", "positive", "negative"))
         loss = triplet_loss_batch(ea, ep, ehn, batch.margin)
         loss_val = float(loss.data)
-        if not np.isfinite(loss_val):
-            raise ContractError(
-                f"triplet training diverged at step {step}: loss={loss_val}")
-
-        opt.zero_grad()
         backward(loss)
-        opt.step()
         log.append(StepLog(step, loss_val, batch.margin,
                            batch.violator_rate, phase))
 
+        # A frozen trunk has no gradient this step, so unfreezing it before
+        # the update leaves the update unchanged.
         if phase == "frozen":
             window.append(loss_val)
             if len(window) == hyper.stabilize_window:
@@ -407,7 +403,9 @@ def train_triplet(
                     set_trainable(fe, trunk=True, head=True)
                     phase = "full"
                     pooled = None
+        return loss_val
 
+    fit(fe.params, hyper.lr, range(schedule.total_steps), grad_step, "triplet training")
     return log
 
 

@@ -11,7 +11,6 @@ import pytest
 from palmvein import ConfigError, ContractError, DimensionError, Tensor, backward, mse_loss
 from palmvein.ced import (
     CEDConfig,
-    TrainHyper,
     build_ced,
     ced_apply,
     ced_forward,
@@ -21,7 +20,7 @@ from palmvein.ced import (
     stacked_apply,
     train_ced,
 )
-from palmvein.optim import Adam
+from palmvein.optim import AdamState, TrainHyper, adam_step
 from palmvein.synth import generate_subject, render_sample
 from palmvein.transforms import tcm
 
@@ -158,7 +157,7 @@ class TestForward:
 class TestTraining:
     def test_empty_pairs_rejected(self):
         with pytest.raises(ContractError):
-            train_ced(build_ced(small_cfg(), seed=0), [])
+            train_ced(build_ced(small_cfg(), seed=0), [], TrainHyper())
 
     def test_nan_weight_diverges(self, rng):
         model = build_ced(small_cfg(), seed=0)
@@ -326,15 +325,15 @@ class TestGraphMemory:
         # a step that kept every interior grad until the graph dropped
         # peaked near 2x what its forward left live
         model, x, t = desk
-        opt = Adam(model.params, lr=1e-3)
+        state = AdamState()
         tracemalloc.start()
         try:
-            opt.zero_grad()
+            model.params.zero_grad()
             loss = mse_loss(ced_apply(model, Tensor(x)), Tensor(t))
             live = tracemalloc.get_traced_memory()[0]
             tracemalloc.reset_peak()
             backward(loss)
-            opt.step()
+            adam_step(model.params, state, lr=1e-3)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

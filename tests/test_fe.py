@@ -7,7 +7,6 @@ import pytest
 
 from palmvein import ConfigError, ContractError, DimensionError, Tensor, backward
 from palmvein.fe import (
-    AEHyper,
     FEConfig,
     StageSpec,
     build_fe,
@@ -20,7 +19,7 @@ from palmvein.fe import (
     standard_stages,
     trunk_apply,
 )
-from palmvein.optim import Adam
+from palmvein.optim import AdamState, TrainHyper, adam_step
 
 
 def fullscale_config() -> FEConfig:
@@ -130,11 +129,11 @@ class TestBuildAndForward:
 
 class TestFreezing:
     def run_steps(self, fe, x, steps=10):
-        opt = Adam(fe.params, lr=1e-2)
+        state = AdamState()
         for _ in range(steps):
-            opt.zero_grad()
+            fe.params.zero_grad()
             backward(fe_apply(fe, x).sum())
-            opt.step()
+            adam_step(fe.params, state, lr=1e-2)
 
     def test_frozen_trunk_bit_identical(self, rng):
         fe = build_fe(FEConfig(), seed=0)
@@ -171,7 +170,8 @@ class TestAutoencoder:
     def test_empty_rejected(self):
         fe = build_fe(FEConfig(), seed=0)
         with pytest.raises(ContractError):
-            pretrain_autoencoder(fe, np.zeros((0, 3, 64, 64), np.float32))
+            pretrain_autoencoder(fe, np.zeros((0, 3, 64, 64), np.float32),
+                                 TrainHyper(epochs=1, batch_size=8))
 
     def test_decoder_mirror_shape(self, rng):
         cfg = FEConfig()
@@ -188,9 +188,8 @@ class TestAutoencoder:
         imgs = rng.uniform(size=(16, 3, 64, 64)).astype(np.float32)
         untrained_dec = build_mirror_decoder(cfg, seed=7)
         mse_untrained = reconstruction_mse(fe, untrained_dec, imgs)
-        trunk, log = pretrain_autoencoder(fe, imgs, AEHyper(epochs=4, seed=7))
-        assert trunk is fe.trunk
-        assert all(n.startswith("stage") for n in trunk.names())
+        log = pretrain_autoencoder(fe, imgs, TrainHyper(epochs=4, batch_size=8, seed=7))
+        assert len(log) == 4
         assert np.all(np.isfinite(log))
         assert log[-1] < mse_untrained
 
@@ -198,10 +197,20 @@ class TestAutoencoder:
         fe = build_fe(FEConfig(), seed=0)
         set_trainable(fe, trunk=False, head=True)
         imgs = rng.uniform(size=(4, 3, 64, 64)).astype(np.float32)
-        pretrain_autoencoder(fe, imgs, AEHyper(epochs=1, seed=0))
+        pretrain_autoencoder(fe, imgs, TrainHyper(epochs=1, batch_size=8, seed=0))
+        assert all(not t.requires_grad for t in fe.trunk.tensors())
+
+    def test_nan_weight_diverges_and_restores_flags(self, rng):
+        fe = build_fe(FEConfig(), seed=0)
+        set_trainable(fe, trunk=False, head=True)
+        fe.trunk["stage0.branch0.w"].data[0, 0, 0, 0] = np.nan
+        imgs = rng.uniform(size=(4, 3, 64, 64)).astype(np.float32)
+        with pytest.raises(ContractError, match="autoencoder diverged at step 0"):
+            pretrain_autoencoder(fe, imgs, TrainHyper(epochs=1, batch_size=8, seed=0))
         assert all(not t.requires_grad for t in fe.trunk.tensors())
 
     def test_dim_mismatch_rejected(self, rng):
         fe = build_fe(FEConfig(), seed=0)
         with pytest.raises(DimensionError):
-            pretrain_autoencoder(fe, rng.uniform(size=(2, 3, 32, 32)).astype(np.float32))
+            pretrain_autoencoder(fe, rng.uniform(size=(2, 3, 32, 32)).astype(np.float32),
+                                 TrainHyper(epochs=1, batch_size=8))

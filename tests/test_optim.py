@@ -1,9 +1,11 @@
-"""Adam optimizer tests against a scalar-loop reference implementation."""
+"""Adam optimizer tests against a scalar-loop reference implementation, and
+the training loop every stage runs."""
 
 import numpy as np
 import pytest
 
-from palmvein import Adam, AdamState, ContractError, ParamSet, Tensor, adam_step, backward
+from palmvein import AdamState, ContractError, ParamSet, Tensor, adam_step, backward
+from palmvein.optim import fit
 
 
 def reference_adam(values, grads_per_step, lr, b1, b2, eps):
@@ -76,21 +78,60 @@ class TestAdamStep:
         with pytest.raises(ContractError):
             adam_step(ParamSet(), AdamState(), lr=0.0)
 
-    def test_converges_on_quadratic(self):
-        ps = ParamSet()
-        p = ps.add("p", Tensor(np.array([8.0, -5.0]), requires_grad=True, dtype=np.float64))
-        opt = Adam(ps, lr=0.1)
-        target = Tensor(np.array([3.0, 2.0]), dtype=np.float64)
-        for _ in range(400):
-            opt.zero_grad()
-            diff = p - target
-            backward((diff * diff).sum())
-            opt.step()
-        np.testing.assert_allclose(p.data, [3.0, 2.0], atol=1e-3)
-
     def test_float32_params_stay_float32(self, rng):
         ps = ParamSet()
         p = ps.add("p", Tensor(np.ones(3, dtype=np.float32), requires_grad=True))
         p.grad = np.ones(3, dtype=np.float32)
         adam_step(ps, AdamState())
         assert p.data.dtype == np.float32
+
+
+def quadratic(start):
+    """A parameter set of one float64 vector and a ``grad_step`` for
+    ``fit`` that minimizes its squared distance to (3, 2)."""
+    ps = ParamSet()
+    p = ps.add("p", Tensor(np.array(start), requires_grad=True, dtype=np.float64))
+    target = Tensor(np.array([3.0, 2.0]), dtype=np.float64)
+
+    def grad_step(step, batch):
+        diff = p - target
+        loss = (diff * diff).sum()
+        backward(loss)
+        return loss.item()
+
+    return ps, p, grad_step
+
+
+class TestFit:
+    def test_converges_on_quadratic(self):
+        ps, p, grad_step = quadratic([8.0, -5.0])
+        losses = fit(ps, 0.1, range(400), grad_step, "quadratic")
+        assert len(losses) == 400
+        np.testing.assert_allclose(p.data, [3.0, 2.0], atol=1e-3)
+
+    def test_steps_match_raw_adam(self):
+        ps, p, grad_step = quadratic([8.0, -5.0])
+        fit(ps, 0.1, range(5), grad_step, "quadratic")
+        ref, q, ref_step = quadratic([8.0, -5.0])
+        state = AdamState()
+        for step in range(5):
+            ref.zero_grad()
+            ref_step(step, None)
+            adam_step(ref, state, lr=0.1)
+        np.testing.assert_array_equal(p.data, q.data)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_loss_raises_before_update(self, bad):
+        ps, p, grad_step = quadratic([8.0, -5.0])
+        before = []
+
+        def poisoned(step, batch):
+            before.append(p.data.copy())
+            loss = grad_step(step, batch)
+            return bad if step == 2 else loss
+
+        with pytest.raises(ContractError, match="quadratic diverged at step 2"):
+            fit(ps, 0.1, range(5), poisoned, "quadratic")
+        assert len(before) == 3
+        np.testing.assert_array_equal(p.data, before[2])
+        assert not np.array_equal(before[1], before[2])

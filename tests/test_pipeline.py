@@ -36,6 +36,7 @@ from palmvein.pipeline import (
 )
 from palmvein.ced import build_ced, ced_apply, extract_features_batch, stack_ceds
 from palmvein.fe import build_fe, fe_apply
+from palmvein.optim import fit
 from palmvein.tensor import ParamSet, Tensor, backward, concat_channels
 from palmvein.triplet import Triplet, TripletBatch, triplet_loss_batch
 from palmvein.dataio import load_image, read_manifest
@@ -185,7 +186,7 @@ class TestFinetuneE2E:
         one_graph = {n: p.grad.copy() for n, p in params.items()}
 
         params.zero_grad()
-        loss_val = _chunked_triplet_backward(embed, batch, step=0)
+        loss_val = _chunked_triplet_backward(embed, batch)
         assert loss_val == pytest.approx(float(loss.data), rel=1e-6)
         for n, p in params.items():
             scale = np.abs(one_graph[n]).max()
@@ -194,11 +195,18 @@ class TestFinetuneE2E:
                                        atol=1e-4 * scale, err_msg=n)
 
     def test_non_finite_loss_raises(self, rng):
+        # stage 9's step, run through the training loop; a NaN weight from
+        # step 3 on makes that step's loss non-finite
         embed, params = e2e_embedder(rng)
-        params["fe.head.fc.w"].data[0, 0] = np.nan
         batch = TripletBatch(E2E_BATCHES["u4"], margin=1.0, checked=0, violators=0)
+
+        def grad_step(step, batch):
+            if step == 3:
+                params["fe.head.fc.w"].data[0, 0] = np.nan
+            return _chunked_triplet_backward(embed, batch)
+
         with pytest.raises(ContractError, match="diverged at step 3"):
-            _chunked_triplet_backward(embed, batch, step=3)
+            fit(params, 1e-3, [batch] * 5, grad_step, "end-to-end training")
 
     def test_ced_sees_only_live_chunks(self, finished_run, tmp_path, monkeypatch):
         # mining reads stage 6's saved feature images, so the CEDs see only

@@ -1,5 +1,6 @@
-"""Public-surface test: every public function and method in the package has
-a caller inside the package.
+"""Public-surface tests: every public function and method in the package has
+a caller inside the package, and the benchmark's tracer still finds the
+names it rebinds.
 
 A function counts as used when its name appears in ``src/palmvein`` as a name
 or an attribute outside its own definition; a method only as an attribute
@@ -9,11 +10,17 @@ not a use of it.
 """
 
 import ast
+import importlib.util
 from pathlib import Path
 
 import palmvein
+import palmvein.optim as optim
+import palmvein.triplet as triplet
+from palmvein.triplet import MarginSchedule, TripletHyper
+from test_triplet import make_dataset, tiny_fe
 
 PACKAGE = Path(palmvein.__file__).resolve().parent
+TRACING = Path(__file__).resolve().parents[1] / "pvsbench" / "tracing.py"
 
 
 def _public_defs(tree: ast.Module):
@@ -49,3 +56,23 @@ def test_every_public_function_has_a_caller_in_the_package():
             if not outside:
                 uncalled.append(f"{module}:{node.lineno} {qualname}")
     assert not uncalled, f"public names with no caller in the package: {uncalled}"
+
+
+def test_tracer_rebinds_the_training_loop_and_restores_it(rng):
+    # pvsbench's per-layer trace times optim.adam_step and counts frozen
+    # steps from the .phase of train_triplet's log
+    spec = importlib.util.spec_from_file_location("pvsbench_tracing", TRACING)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    original = optim.adam_step
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        assert optim.adam_step is not original
+        triplet.train_triplet(tiny_fe(), make_dataset(rng), MarginSchedule(total_steps=2),
+                              TripletHyper(batch_size=4, subset_size=4))
+    finally:
+        tracer.uninstall()
+    assert optim.adam_step is original
+    assert tracer.counts["optim.adam.steps"] == 2
+    assert tracer.counts["triplet.steps.frozen"] == 2
