@@ -18,7 +18,8 @@ from typing import Callable, Sequence
 from .config import PipelineConfig
 from .errors import PalmveinError, StageError
 from .gradcheck import run_battery
-from .pipeline import enroll, run_full_pipeline, run_stages, verify_probe
+from .pipeline import calibrated_threshold, enroll, run_full_pipeline, run_stages, \
+    verify_probe
 
 __all__ = ["main"]
 
@@ -80,7 +81,8 @@ def _cmd_enroll(cfg: PipelineConfig, args: argparse.Namespace) -> int:
 
 
 def _cmd_verify(cfg: PipelineConfig, args: argparse.Namespace) -> int:
-    distance, accepted = verify_probe(cfg, args.probe, args.threshold,
+    threshold = calibrated_threshold(cfg) if args.threshold is None else args.threshold
+    distance, accepted = verify_probe(cfg, args.probe, threshold,
                                       enrollment=args.enrollment)
     print(f"distance {distance!r}")
     print("ACCEPT" if accepted else "REJECT")
@@ -132,8 +134,9 @@ def build_parser() -> argparse.ArgumentParser:
                  _cmd_verify)
     verify.add_argument("--probe", required=True, metavar="PGM",
                         help="probe image to score")
-    verify.add_argument("--threshold", type=float, default=0.5, metavar="T",
-                        help="accept iff distance < T (default 0.5)")
+    verify.add_argument("--threshold", type=float, default=None, metavar="T",
+                        help="accept iff distance < T (default: the run's EER "
+                             "threshold, from report/metrics.csv)")
     verify.add_argument("--enrollment", default=None, metavar="PATH",
                         help="enrollment file (default: <out>/enrollment.vfw)")
 

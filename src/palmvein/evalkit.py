@@ -102,6 +102,12 @@ class EvalReport:
         if self.di < 0:
             raise ContractError("di must be non-negative")
 
+    @property
+    def eer_threshold(self) -> float:
+        """The first ROC threshold at which FAR >= FRR: the equal-error
+        operating point, which ``palmvein verify`` uses by default."""
+        return float(self.roc.thresholds[_first_far_at_least_frr(self.roc)])
+
 
 # ---------------------------------------------------------------------------
 # Scoring
@@ -190,6 +196,10 @@ def roc(scores: ScoreSet, n_thresholds: int | None = None) -> ROCCurve:
     return ROCCurve(thresholds=thresholds, far=far, frr=frr)
 
 
+def _first_far_at_least_frr(curve: ROCCurve) -> int:
+    return int(np.argmax(curve.far - curve.frr >= 0.0))
+
+
 def eer(scores: ScoreSet) -> float:
     """Equal error rate: FAR == FRR, linearly interpolated over the sweep.
 
@@ -199,7 +209,7 @@ def eer(scores: ScoreSet) -> float:
     """
     curve = roc(scores)
     d = curve.far - curve.frr
-    i = int(np.argmax(d >= 0.0))  # first non-negative
+    i = _first_far_at_least_frr(curve)
     if d[i] == 0.0:
         return float(0.5 * (curve.far[i] + curve.frr[i]))
     lam = -d[i - 1] / (d[i] - d[i - 1])
@@ -302,6 +312,7 @@ def emit_report(report: EvalReport, out_dir) -> list[Path]:
         ["di", repr(report.di)],
         ["n_genuine", report.counts[0]],
         ["n_impostor", report.counts[1]],
+        ["eer_threshold", repr(report.eer_threshold)],
     ])
 
     roc_csv = write_csv("roc.csv", ["threshold", "far", "frr"],

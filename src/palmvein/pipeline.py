@@ -43,13 +43,14 @@ from .tensor import ParamSet, Tensor, backward, concat_channels, no_grad
 from .transforms import irt, tcm
 from .triplet import MarginSchedule, StepLog, TripletBatch, build_batch, dataset_images, \
     train_triplet, triplet_loss_batch, write_training_log
-from .weights import load_arrays, load_weights, save_weights
+from .weights import load_weights, parse_arrays, save_weights
 
 from .config import PipelineConfig
 
 __all__ = [
     "RunPaths",
     "STAGE_NAMES",
+    "calibrated_threshold",
     "derive_seed",
     "enroll",
     "run_full_pipeline",
@@ -225,13 +226,15 @@ def _load_images(paths: RunPaths,
     return {(r.subject_id, r.sample_index): load_image(paths.data, r) for r in records}
 
 
+def _read_metrics_csv(path: Path) -> dict[str, str]:
+    """The rows of a small key,value CSV under one header line."""
+    return dict(line.partition(",")[::2]
+                for line in path.read_text(encoding="utf-8").splitlines()[1:])
+
+
 def _update_metrics_csv(path: Path, updates: dict[str, float]) -> None:
     """Merge key/value metric rows into a small CSV, rewriting it sorted."""
-    rows: dict[str, str] = {}
-    if path.exists():
-        for line in path.read_text(encoding="utf-8").splitlines()[1:]:
-            key, _, value = line.partition(",")
-            rows[key] = value
+    rows = _read_metrics_csv(path) if path.exists() else {}
     rows.update({k: repr(float(v)) for k, v in updates.items()})
     text = "key,value\n" + "".join(f"{k},{rows[k]}\n" for k in sorted(rows))
     path.write_text(text, encoding="utf-8")
@@ -259,15 +262,65 @@ def _load_fe(cfg: PipelineConfig, paths: RunPaths, ckpt: str, stage: str,
     return fe
 
 
+class _Reuse:
+    """One slot holding a value built from a file, reused while the file's
+    bytes and the caller's key are unchanged.
+
+    ``get`` reads the whole file on every call. It returns the value it last
+    built when the key and the bytes both equal those it last built from;
+    otherwise it builds again from the bytes, and a build that raises leaves
+    the slot as it was. The bytes, not mtime, size or inode, decide: a
+    same-size rewrite in place within one timestamp tick is still seen.
+    """
+
+    def __init__(self) -> None:
+        self._key: object = None
+        self._data: bytes | None = None
+        self._value: object = None
+
+    def get(self, key: object, path: Path, build: Callable[[bytes], object]) -> object:
+        data = path.read_bytes()
+        if key != self._key or data != self._data:
+            value = build(data)
+            self._key, self._data, self._value = key, data, value
+        return self._value
+
+
+_FINAL_MODELS = _Reuse()
+_ENROLLMENT = _Reuse()
+
+
 def _load_final_models(cfg: PipelineConfig, paths: RunPaths,
                        stage: str) -> tuple[StackedCED, FEModel]:
-    """The verifier as of the end-to-end stage: stacked CEDs + FE, one file."""
-    stacked = stack_ceds(build_ced(cfg.ced_config(), seed=0),
-                         build_ced(cfg.ced_config(), seed=0))
-    fe = build_fe(cfg.fe_config(), seed=0)
-    merged = ParamSet.union(("stack", stacked.params), ("fe", fe.params))
-    load_weights(_require(paths.checkpoint(CKPT_E2E), stage, "finetune-e2e"), merged)
-    return stacked, fe
+    """The verifier as of the end-to-end stage: stacked CEDs + FE, one file.
+
+    The models are built and loaded once, then reused while the checkpoint's
+    bytes and the model configs are unchanged (``_Reuse``); callers only run
+    them for inference.
+    """
+    path = _require(paths.checkpoint(CKPT_E2E), stage, "finetune-e2e")
+
+    def build(data: bytes) -> tuple[StackedCED, FEModel]:
+        stacked = stack_ceds(build_ced(cfg.ced_config(), seed=0),
+                             build_ced(cfg.ced_config(), seed=0))
+        fe = build_fe(cfg.fe_config(), seed=0)
+        merged = ParamSet.union(("stack", stacked.params), ("fe", fe.params))
+        load_weights(path, merged, data=data)
+        return stacked, fe
+
+    return _FINAL_MODELS.get((path, cfg.ced_config(), cfg.fe_config()), path, build)
+
+
+def _load_gallery(path: Path) -> list[np.ndarray]:
+    """An enrollment's embeddings in sorted-name order, reused like the models."""
+
+    def build(data: bytes) -> list[np.ndarray]:
+        arrays = parse_arrays(data, path)
+        if not arrays:
+            raise ContractError(f"enrollment {path} contains no embeddings")
+        return [arrays[name] for name in sorted(arrays)]
+
+    return _ENROLLMENT.get(path, path, build)
 
 
 def _ced_pairs(records: Sequence[ManifestRecord], role: str,
@@ -667,6 +720,10 @@ def verify_probe(cfg: PipelineConfig, probe_path: str | Path, threshold: float,
 
     Returns (distance to the nearest enrolled sample, accepted?); a probe is
     accepted iff its distance is strictly below the threshold.
+
+    The models and the enrollment are parsed on the first call in a process
+    and reused by later calls while the bytes of their files are unchanged;
+    each call still reads both files in full to compare them.
     """
     if threshold <= 0:
         raise ContractError(f"threshold must be positive, got {threshold}")
@@ -675,9 +732,19 @@ def verify_probe(cfg: PipelineConfig, probe_path: str | Path, threshold: float,
     enr_path = Path(enrollment) if enrollment is not None else paths.enrollment
     if not enr_path.exists():
         raise StageError("verify", f"missing enrollment {enr_path} (run enroll first)")
-    arrays = load_arrays(enr_path)
-    if not arrays:
-        raise ContractError(f"enrollment {enr_path} contains no embeddings")
+    gallery = _load_gallery(enr_path)
     probe_emb = _embed_one(stacked, fe, read_pgm(probe_path))
-    distance = min(match_score(probe_emb, arrays[name]) for name in sorted(arrays))
+    distance = min(match_score(probe_emb, enrolled) for enrolled in gallery)
     return distance, distance < threshold
+
+
+def calibrated_threshold(cfg: PipelineConfig) -> float:
+    """The run's equal-error threshold, from the report stage 10 wrote."""
+    path = _paths(cfg).report / "metrics.csv"
+    if not path.exists():
+        raise StageError("verify", f"missing {path} (run eval first, or pass a threshold)")
+    try:
+        return float(_read_metrics_csv(path)["eer_threshold"])
+    except (KeyError, ValueError) as exc:
+        raise StageError("verify", f"{path} has no valid eer_threshold row "
+                                   f"(run eval again, or pass a threshold)") from exc

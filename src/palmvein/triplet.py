@@ -341,7 +341,10 @@ def train_triplet(
     The trunk starts frozen and unfreezes once the window-mean loss changes
     by less than ``stabilize_tol`` for ``stabilize_patience`` consecutive
     windows, or after ``stabilize_cap`` windows, whichever comes first.
-    Training leaves the whole model trainable.
+    The trunk is left trainable only if it unfroze; otherwise training
+    returns with every trunk tensor frozen. At the desk defaults (60 steps,
+    6 windows against a cap of 20) the cap is never reached, and the trunk
+    stays frozen unless the loss stabilizes.
 
     While the trunk is frozen its pooled output for a sample cannot change,
     so it is computed once for the whole dataset; each frozen step then mines

@@ -57,7 +57,11 @@ def load_arrays(path: str | Path) -> dict[str, np.ndarray]:
     """Read a weights file into an ordered {name: float32 array} dict."""
     path = Path(path)
     with open(path, "rb") as fh:
-        data = fh.read()
+        return parse_arrays(fh.read(), path)
+
+
+def parse_arrays(data: bytes, path: str | Path) -> dict[str, np.ndarray]:
+    """Parse the bytes of a weights file; ``path`` names the file in errors."""
     if len(data) < 12 or data[:4] != MAGIC:
         raise CorruptWeightsError(f"{path}: bad magic (not a VFW1 weights file)")
     version, count = struct.unpack_from("<II", data, 4)
@@ -97,13 +101,15 @@ def load_arrays(path: str | Path) -> dict[str, np.ndarray]:
     return out
 
 
-def load_weights(path: str | Path, params: ParamSet, strict: bool = True) -> None:
+def load_weights(path: str | Path, params: ParamSet, strict: bool = True,
+                 data: bytes | None = None) -> None:
     """Load saved values into an existing ParamSet in place.
 
     strict=True requires the file's names to exactly match the ParamSet's
-    and every shape to agree.
+    and every shape to agree. ``data``, if given, is the file's bytes as
+    already read, and the file is not read again.
     """
-    arrays = load_arrays(path)
+    arrays = load_arrays(path) if data is None else parse_arrays(data, path)
     if strict:
         missing = [n for n in params.names() if n not in arrays]
         extra = [n for n in arrays if n not in params]

@@ -148,6 +148,29 @@ class TestVerify:
         assert main(["--config", cfg_file, "verify", "--probe", str(probe),
                      "--threshold", "-1"]) == 1
 
+    def test_default_threshold_is_the_runs_eer_threshold(self, finished_cli_run, capsys):
+        cfg, cfg_file = finished_cli_run
+        rows = dict(line.split(",") for line in
+                    (cfg.out_dir / "report" / "metrics.csv").read_text().splitlines()[1:])
+        threshold = float(rows["eer_threshold"])
+        for probe in ("s0000_i01.pgm", "s0001_i01.pgm", "s0002_i01.pgm"):
+            assert main(["--config", cfg_file, "verify",
+                         "--probe", str(cfg.out_dir / "data" / probe)]) == 0
+            out = capsys.readouterr().out.split()
+            distance = float(out[out.index("distance") + 1])
+            assert out[-1] == ("ACCEPT" if distance < threshold else "REJECT")
+
+    def test_default_threshold_without_report_exit_1(self, finished_cli_run, tmp_path,
+                                                     capsys):
+        cfg, cfg_file = finished_cli_run
+        out = tmp_path / "out"
+        shutil.copytree(cfg.out_dir, out, ignore=shutil.ignore_patterns("report"))
+        probe = out / "data" / "s0000_i00.pgm"
+        flags = ["--config", cfg_file, "--out", str(out), "verify", "--probe", str(probe)]
+        assert main(flags) == 1
+        assert "run eval" in capsys.readouterr().err
+        assert main(flags + ["--threshold", "1e-12"]) == 0
+
     def test_enroll_without_models_exit_1(self, tmp_path):
         cfg = micro_config(tmp_path)
         cfg_file = tmp_path / "c.cfg"

@@ -360,6 +360,23 @@ class TestReport:
         assert float(rows["crr"]) == pytest.approx(report.crr, abs=1e-9)
         assert int(rows["n_genuine"]) == report.counts[0]
 
+    def test_eer_threshold_row_is_first_roc_threshold_with_far_at_least_frr(
+            self, rng, tmp_path):
+        gallery, probe = random_protocol(rng, n_subjects=6)
+        report = build_report(gallery, probe)
+        emit_report(report, tmp_path)
+        rows = dict(line.split(",") for line in
+                    (tmp_path / "metrics.csv").read_text().splitlines()[1:])
+        points = [tuple(map(float, line.split(","))) for line in
+                  (tmp_path / "roc.csv").read_text().splitlines()[1:]]
+        want = next(t for t, far, frr in points if far >= frr)
+        assert float(rows["eer_threshold"]) == want == report.eer_threshold
+        # the oracle: scan every observed score in order with brute counts
+        gen, imp = report.scores.genuine.tolist(), report.scores.impostor.tolist()
+        brute = next(t for t in sorted(set(gen) | set(imp))
+                     if brute_far_frr(gen, imp, t)[0] >= brute_far_frr(gen, imp, t)[1])
+        assert want == brute
+
     def test_svg_is_valid_xml_polyline(self, rng, tmp_path):
         gallery, probe = random_protocol(rng, n_subjects=4)
         report = build_report(gallery, probe)

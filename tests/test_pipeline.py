@@ -2,16 +2,22 @@
 prerequisite errors, and enroll/verify behavior. All at micro scale (3
 subjects x 2 samples, 32px) so the whole file runs in seconds."""
 
+import os
 import shutil
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import palmvein
 import palmvein.ced as ced_module
 import palmvein.pipeline as pipeline_module
 from palmvein import (
     ContractError,
+    CorruptWeightsError,
     PipelineConfig,
     RunPaths,
     StageError,
@@ -41,7 +47,8 @@ from palmvein.tensor import ParamSet, Tensor, backward, concat_channels
 from palmvein.triplet import Triplet, TripletBatch, triplet_loss_batch
 from palmvein.dataio import load_image, read_manifest
 from palmvein.transforms import irt, tcm
-from palmvein.weights import load_arrays
+from palmvein.weights import load_arrays, save_weights
+from palmvein.cli import main
 
 
 def micro_config(out, seed=0, **extra):
@@ -394,6 +401,146 @@ class TestEnrollVerify:
         cfg = micro_config(tmp_path)
         with pytest.raises(StageError, match="enroll"):
             enroll(cfg)
+
+
+FRESH_VERIFY = """
+import sys
+from palmvein import PipelineConfig, verify_probe
+cfg = PipelineConfig.from_file(sys.argv[1])
+print(repr(verify_probe(cfg, sys.argv[2], 1.0)[0]))
+"""
+
+
+def fresh_process_distance(cfg, probe) -> float:
+    """``verify_probe``'s distance from a new interpreter, with nothing cached."""
+    cfg_file = cfg.out_dir / "fresh.cfg"
+    cfg_file.write_text(cfg.to_text(), encoding="utf-8")
+    env = dict(os.environ, PYTHONPATH=str(Path(palmvein.__file__).resolve().parents[1]))
+    done = subprocess.run([sys.executable, "-c", FRESH_VERIFY, str(cfg_file), str(probe)],
+                          env=env, capture_output=True, text=True, check=True, timeout=300)
+    return float(done.stdout)
+
+
+def overwrite_in_place(path: Path, data: bytes) -> None:
+    """Write ``data`` over ``path`` in place and restore its timestamps: size,
+    inode and mtime stay equal, the bytes do not."""
+    before = path.stat()
+    assert len(data) == before.st_size and data != path.read_bytes()
+    with open(path, "r+b") as fh:
+        fh.write(data)
+    os.utime(path, ns=(before.st_atime_ns, before.st_mtime_ns))
+    after = path.stat()
+    assert (after.st_size, after.st_ino, after.st_mtime_ns) == \
+        (before.st_size, before.st_ino, before.st_mtime_ns)
+
+
+def perturbed(path: Path, seed: int) -> bytes:
+    """The weights file at ``path`` with noise added to every value, same layout."""
+    rng = np.random.default_rng(seed)
+    staged = path.with_name(path.name + ".new")
+    save_weights({name: arr + np.float32(0.05) * rng.standard_normal(arr.shape, np.float32)
+                  for name, arr in load_arrays(path).items()}, staged)
+    data = staged.read_bytes()
+    staged.unlink()
+    return data
+
+
+@pytest.fixture
+def run_copy(finished_run, tmp_path):
+    """A private, enrolled copy of the finished micro run that a test may rewrite."""
+    def copy(name: str):
+        _, paths, _ = finished_run
+        cfg = finished_run[0].override(out=str(tmp_path / name))
+        shutil.copytree(paths.root, cfg.out_dir)
+        enroll(cfg)
+        return cfg, RunPaths(cfg.out_dir)
+    return copy
+
+
+class TestVerifierReuse:
+    """The verifier's models and enrollment are parsed once per process and
+    reused only while the bytes of their files are unchanged."""
+
+    PROBE = "s0002_i01.pgm"  # probe-role image of subject 2
+
+    def test_repeated_calls_equal_the_first_and_a_fresh_process(self, run_copy):
+        cfg, paths = run_copy("a")
+        probe = paths.data / self.PROBE
+        first = verify_probe(cfg, probe, 1.0)
+        assert [verify_probe(cfg, probe, 1.0) for _ in range(3)] == [first] * 3
+        assert first[0] == fresh_process_distance(cfg, probe)
+
+    def test_models_are_built_once_for_enroll_verify_and_evaluate(self, run_copy,
+                                                                  monkeypatch):
+        cfg, paths = run_copy("a")
+        verify_probe(cfg, paths.data / self.PROBE, 1.0)
+        builds = []
+        original = pipeline_module.build_ced
+        monkeypatch.setattr(pipeline_module, "build_ced",
+                            lambda *a, **k: builds.append(a) or original(*a, **k))
+        verify_probe(cfg, paths.data / self.PROBE, 1.0)
+        enroll(cfg)
+        stage_evaluate(cfg)
+        assert builds == []
+
+    def test_checkpoint_rewritten_in_place_is_reloaded(self, run_copy):
+        cfg, paths = run_copy("a")
+        probe = paths.data / self.PROBE
+        before, _ = verify_probe(cfg, probe, 1.0)
+        ckpt = paths.checkpoint(CKPT_E2E)
+        overwrite_in_place(ckpt, perturbed(ckpt, seed=1))
+        after, _ = verify_probe(cfg, probe, 1.0)
+        assert after != before
+        assert after == fresh_process_distance(cfg, probe)
+
+    def test_enrollment_rewritten_in_place_is_reloaded(self, run_copy):
+        cfg, paths = run_copy("a")
+        probe = paths.data / self.PROBE
+        before, _ = verify_probe(cfg, probe, 1.0)
+        overwrite_in_place(paths.enrollment, perturbed(paths.enrollment, seed=2))
+        after, _ = verify_probe(cfg, probe, 1.0)
+        assert after != before
+        assert after == fresh_process_distance(cfg, probe)
+
+    @pytest.mark.parametrize("target", ["checkpoint", "enrollment"])
+    def test_corrupt_file_after_a_cached_call_still_fails(self, run_copy, target):
+        cfg, paths = run_copy("a")
+        cfg_file = cfg.out_dir / "c.cfg"
+        cfg_file.write_text(cfg.to_text(), encoding="utf-8")
+        probe = paths.data / self.PROBE
+        verify_probe(cfg, probe, 1.0)
+        path = paths.checkpoint(CKPT_E2E) if target == "checkpoint" else paths.enrollment
+        overwrite_in_place(path, b"X" + path.read_bytes()[1:])  # bad magic
+        with pytest.raises(CorruptWeightsError, match="bad magic"):
+            verify_probe(cfg, probe, 1.0)
+        assert main(["--config", str(cfg_file), "verify", "--probe", str(probe),
+                     "--threshold", "1"]) == 2
+
+    def test_deleted_checkpoint_after_a_cached_call_still_fails(self, run_copy):
+        cfg, paths = run_copy("a")
+        cfg_file = cfg.out_dir / "c.cfg"
+        cfg_file.write_text(cfg.to_text(), encoding="utf-8")
+        probe = paths.data / self.PROBE
+        verify_probe(cfg, probe, 1.0)
+        paths.checkpoint(CKPT_E2E).unlink()
+        with pytest.raises(StageError, match="finetune-e2e"):
+            verify_probe(cfg, probe, 1.0)
+        assert main(["--config", str(cfg_file), "verify", "--probe", str(probe),
+                     "--threshold", "1"]) == 1
+
+    def test_alternating_run_directories_each_give_their_own_distance(self, run_copy):
+        cfg_a, paths_a = run_copy("a")
+        cfg_b, paths_b = run_copy("b")
+        ckpt_b = paths_b.checkpoint(CKPT_E2E)
+        overwrite_in_place(ckpt_b, perturbed(ckpt_b, seed=3))
+        enroll(cfg_b)
+        probe = paths_a.data / self.PROBE  # the same image in both runs
+        want = {"a": fresh_process_distance(cfg_a, probe),
+                "b": fresh_process_distance(cfg_b, probe)}
+        assert want["a"] != want["b"]
+        for name in "abab":
+            cfg = cfg_a if name == "a" else cfg_b
+            assert verify_probe(cfg, probe, 1.0)[0] == want[name]
 
 
 class TestDeriveSeed:
