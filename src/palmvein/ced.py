@@ -20,16 +20,14 @@ from .tensor import (
     ParamSet,
     Tensor,
     clamp01,
-    concat_channels,
     conv2d,
     conv_params,
     maxpool2,
     no_grad,
-    relu,
-    upsample2_nearest,
+    upsample2_merge,
 )
 
-_FORWARD_CHUNK = 32  # images per inference forward; bounds conv temporaries
+_FORWARD_CHUNK = 8  # images per inference forward; bounds live activations
 _TAG_SHUFFLE = 0x7124  # minibatch order stream of CED and stack training
 
 
@@ -90,7 +88,7 @@ def build_ced(config: CEDConfig, seed: int = 0) -> CEDModel:
 
 
 def _conv_block(p: ParamSet, name: str, x: Tensor) -> Tensor:
-    return relu(conv2d(x, p[f"{name}.w"], p[f"{name}.b"], "same"))
+    return conv2d(x, p[f"{name}.w"], p[f"{name}.b"], "same", fused_relu=True)
 
 
 def ced_apply(model: CEDModel, x: Tensor) -> Tensor:
@@ -112,15 +110,14 @@ def ced_apply(model: CEDModel, x: Tensor) -> Tensor:
     x = _conv_block(p, "bottleneck.conv1", x)
     x = _conv_block(p, "bottleneck.conv2", x)
     for level in reversed(range(cfg.depth)):
-        x = upsample2_nearest(x)
-        x = concat_channels(x, skips[level])  # upsampled channels, then merge
+        x = upsample2_merge(x, skips[level])  # upsampled channels, then merge
         x = _conv_block(p, f"dec.{level}.conv1", x)
         x = _conv_block(p, f"dec.{level}.conv2", x)
     return clamp01(conv2d(x, p["head.conv.w"], p["head.conv.b"], "same"))
 
 
 def ced_forward(model: CEDModel, images: np.ndarray) -> np.ndarray:
-    """Inference on a [N,H,W] batch, 32 images per forward and no graph;
+    """Inference on a [N,H,W] batch, 8 images per forward and no graph;
     returns float32."""
     imgs = np.asarray(images, dtype=np.float32)
     if imgs.ndim != 3:

@@ -33,11 +33,10 @@ from .tensor import (
     linear_params,
     maxpool2,
     no_grad,
-    relu,
     upsample2_nearest,
 )
 
-_EMBED_CHUNK = 64  # images per embedding forward; bounds conv temporaries
+_EMBED_CHUNK = 16  # images per embedding forward; bounds live activations
 
 
 @dataclass(frozen=True)
@@ -149,7 +148,7 @@ def trunk_apply(model: FEModel, x: Tensor) -> Tensor:
         for b in range(len(stage.kernels)):
             w = model.trunk[f"stage{i}.branch{b}.w"]
             bias = model.trunk[f"stage{i}.branch{b}.b"]
-            branches.append(relu(conv2d(x, w, bias, "same")))
+            branches.append(conv2d(x, w, bias, "same", fused_relu=True))
         x = branches[0] if len(branches) == 1 else concat_channels(*branches)
         if stage.pool:
             x = maxpool2(x)
@@ -183,13 +182,13 @@ def _forward_chunks(apply_fn, model: FEModel, mcis: np.ndarray) -> np.ndarray:
 
 
 def embed_batch(model: FEModel, mcis: np.ndarray) -> np.ndarray:
-    """Embed [N,3,H,W], 64 images per forward and no graph; returns
+    """Embed [N,3,H,W], 16 images per forward and no graph; returns
     [N,embedding_dim] float32."""
     return _forward_chunks(fe_apply, model, mcis)
 
 
 def pooled_trunk_batch(model: FEModel, mcis: np.ndarray) -> np.ndarray:
-    """Pooled trunk features of [N,3,H,W], 64 images per forward and no graph:
+    """Pooled trunk features of [N,3,H,W], 16 images per forward and no graph:
     [N,flat_dim]."""
     return _forward_chunks(pooled_trunk_apply, model, mcis)
 
@@ -228,8 +227,10 @@ def decoder_apply(config: FEConfig, dec: ParamSet, feat: Tensor) -> Tensor:
     for i, stage in enumerate(reversed(config.stages)):
         if stage.pool:
             x = upsample2_nearest(x)
-        y = conv2d(x, dec[f"dec{i}.w"], dec[f"dec{i}.b"], "same")
-        x = clamp01(y) if i == n_stages - 1 else relu(y)
+        last = i == n_stages - 1
+        x = conv2d(x, dec[f"dec{i}.w"], dec[f"dec{i}.b"], "same", fused_relu=not last)
+        if last:
+            x = clamp01(x)
     return x
 
 

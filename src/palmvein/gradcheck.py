@@ -170,7 +170,7 @@ def _primitive_cases() -> list[tuple[str, Callable]]:
     """Each builder maps (rng, trial) -> (params, loss_fn), all float64."""
     from .tensor import (adaptive_avg_pool2d, clamp01, concat_channels, conv2d,
                          l2_normalize, linear, maxpool2, mse_loss, relu,
-                         upsample2_nearest)
+                         upsample2_merge, upsample2_nearest)
     from .triplet import triplet_loss_batch
 
     def conv_case(rng, trial):
@@ -184,6 +184,14 @@ def _primitive_cases() -> list[tuple[str, Callable]]:
             h, w_ = h - kh + 1, w_ - kw + 1
         t = _const(rng, 2, 3, h, w_)
         return _params_of(x=x, w=w, b=b), lambda: mse_loss(conv2d(x, w, b, padding), t)
+
+    def conv_relu_case(rng, trial):
+        # the fused epilogue on a square and a rectangular same kernel
+        kh, kw = ((3, 3), (5, 3))[trial % 2]
+        x, w, b = _t64(rng, 2, 2, 6, 5), _t64(rng, 3, 2, kh, kw), _t64(rng, 3)
+        t = _const(rng, 2, 3, 6, 5)
+        return _params_of(x=x, w=w, b=b), \
+            lambda: mse_loss(conv2d(x, w, b, "same", fused_relu=True), t)
 
     def linear_case(rng, trial):
         x, w, b = _t64(rng, 3, 5), _t64(rng, 4, 5), _t64(rng, 4)
@@ -201,6 +209,11 @@ def _primitive_cases() -> list[tuple[str, Callable]]:
     def upsample_case(rng, trial):
         x, t = _t64(rng, 2, 2, 3, 3), _const(rng, 2, 2, 6, 6)
         return _params_of(x=x), lambda: mse_loss(upsample2_nearest(x), t)
+
+    def upsample_merge_case(rng, trial):
+        x, skip = _t64(rng, 2, 2, 3, 2), _t64(rng, 2, 3, 6, 4)
+        t = _const(rng, 2, 5, 6, 4)
+        return _params_of(x=x, skip=skip), lambda: mse_loss(upsample2_merge(x, skip), t)
 
     def concat_case(rng, trial):
         a, b = _t64(rng, 2, 2, 4, 4), _t64(rng, 2, 3, 4, 4)
@@ -241,10 +254,12 @@ def _primitive_cases() -> list[tuple[str, Callable]]:
 
     return [
         ("conv2d", conv_case),
+        ("conv2d_fused_relu", conv_relu_case),
         ("linear", linear_case),
         ("relu", relu_case),
         ("maxpool2", maxpool_case),
         ("upsample2_nearest", upsample_case),
+        ("upsample2_merge", upsample_merge_case),
         ("concat_channels", concat_case),
         ("clamp01", clamp_case),
         ("l2_normalize", l2_case),

@@ -554,10 +554,16 @@ def stage_finetune_e2e(cfg: PipelineConfig) -> None:
     images = _load_images(paths, records)
     entries = _training_entries(records, cfg.aug_copies)
 
-    raw_pool = {sid: [_entry_raw(e, images, cfg.seed).astype(np.float32) for e in es]
+    raw_pool = {sid: [_entry_raw(e, images, cfg.seed).astype(np.float32, copy=False)
+                      for e in es]
                 for sid, es in entries.items()}
-    static_ds = _load_training_pool(cfg, paths, stage)
-    static_mcis = dataset_images(static_ds)
+    del images
+    # one copy of the saved pool: the mining dataset's samples are row views
+    # of the table its embeddings come from, whose rows run subject by
+    # subject in ascending order
+    static_mcis = dataset_images(_load_training_pool(cfg, paths, stage))
+    rows = iter(static_mcis)
+    static_ds = {sid: [next(rows) for _ in entries[sid]] for sid in sorted(entries)}
 
     # constant margin at the schedule's final value throughout this phase
     sched = MarginSchedule(total_steps=max(cfg.e2e_steps, 1),

@@ -102,11 +102,19 @@ class Tensor:
             raise ContractError(f"item() on tensor of size {self.data.size}")
         return float(self.data.reshape(-1)[0])
 
-    def accumulate_grad(self, g: np.ndarray) -> None:
+    def accumulate_grad(self, g: np.ndarray, fresh: bool = False) -> None:
+        """Add g to this tensor's gradient.
+
+        The first gradient is copied, unless ``fresh`` says g is a new array
+        that no one else holds: then it is taken over as the buffer (cast
+        only if its dtype differs). Views, and arrays passed to more than one
+        tensor, must not be passed as fresh.
+        """
         if not self.requires_grad:
             return
         if self.grad is None:
-            self.grad = np.array(g, dtype=self.data.dtype, copy=True)
+            self.grad = (g.astype(self.data.dtype, copy=False) if fresh
+                         else np.array(g, dtype=self.data.dtype, copy=True))
         else:
             self.grad += g
 
@@ -273,20 +281,22 @@ def _check_4d(x: np.ndarray, what: str) -> np.ndarray:
     return x
 
 
-def _windows(x: np.ndarray, pads: tuple[int, int, int, int], kh: int, kw: int):
-    """Zero-pad x [N,C,H,W] plus a spare bottom row and flatten each image's rows.
+def _windows(c: int, h: int, w: int, pads: tuple[int, int, int, int], kh: int, kw: int,
+             dtype) -> tuple[np.ndarray, int, int, list[np.ndarray]]:
+    """A zeroed one-image buffer for [c,h,w] under pads, plus a spare bottom row.
 
-    Returns Ho, the padded width Wp and, per kernel offset (i, j) row-major,
-    its window: the [N,C,Ho*Wp] view from i*Wp + j. Each window row ends in
-    kw-1 wrap-around columns; the spare row keeps the last window in bounds.
+    Returns the buffer's interior view (copy each image into it in turn), Ho,
+    the padded width Wp and, per kernel offset (i, j) row-major, its window:
+    the [c,Ho*Wp] view from i*Wp + j of the flattened rows. Each window row
+    ends in kw-1 wrap-around columns; the spare row keeps the last window in
+    bounds. One image at a time, the padded copy is a fraction of the batch.
     """
     pt, pb, pl, pr = pads
-    n, c, h, w = x.shape
     hp, wp = h + pt + pb, w + pl + pr
-    xp = np.zeros((n, c, hp + 1, wp), dtype=x.dtype)
-    xp[:, :, pt:pt + h, pl:pl + w] = x
-    ho, xf = hp - kh + 1, xp.reshape(n, c, -1)
-    return ho, wp, [xf[:, :, i * wp + j:][:, :, :ho * wp] for i in range(kh) for j in range(kw)]
+    xp = np.zeros((c, hp + 1, wp), dtype=dtype)
+    ho, xf = hp - kh + 1, xp.reshape(c, -1)
+    wins = [xf[:, i * wp + j:][:, :ho * wp] for i in range(kh) for j in range(kw)]
+    return xp[:, pt:pt + h, pl:pl + w], ho, wp, wins
 
 
 def _conv_core(x: np.ndarray, w: np.ndarray, pads: tuple[int, int, int, int]) -> np.ndarray:
@@ -298,15 +308,16 @@ def _conv_core(x: np.ndarray, w: np.ndarray, pads: tuple[int, int, int, int]) ->
     sends it to a non-BLAS loop ~15x slower, for the same products.
     """
     co, c, kh, kw = w.shape
-    ho, wp, wins = _windows(x, pads, kh, kw)
+    inner, ho, wp, wins = _windows(c, x.shape[2], x.shape[3], pads, kh, kw, x.dtype)
     taps = np.ascontiguousarray(w.transpose(2, 3, 0, 1)).reshape(kh * kw, co, c)
     out = np.empty((x.shape[0], co, ho, wp - kw + 1), dtype=np.result_type(x, w))
     acc, tmp = np.empty((2, co, ho * wp), dtype=out.dtype)
     product = np.multiply if c == 1 else np.matmul
     for b in range(x.shape[0]):
-        product(taps[0], wins[0][b], out=acc)
+        inner[...] = x[b]
+        product(taps[0], wins[0], out=acc)
         for tap, win in zip(taps[1:], wins[1:]):
-            product(tap, win[b], out=tmp)
+            product(tap, win, out=tmp)
             acc += tmp
         out[b] = acc.reshape(co, ho, wp)[:, :, :out.shape[3]]
     return out
@@ -316,15 +327,27 @@ def _conv_weight_grad(x: np.ndarray, g: np.ndarray, pads: tuple[int, int, int, i
                       shape: tuple[int, ...]) -> np.ndarray:
     """Gradient of _conv_core's kernel, of `shape`, given upstream grad g.
 
-    The forward's offsets with the operands swapped: g laid out on the padded
-    width, zero in the wrap-around columns. Its padded copies of x and g die
-    on return, before the caller computes the input gradient.
+    The forward's offsets with the operands swapped: per image, g laid out on
+    the padded width, zero in the wrap-around columns. Each offset's [Co,C]
+    products are summed over the images in batch order.
     """
-    n, co, _, wo = g.shape
-    _, wp, wins = _windows(x, pads, shape[2], shape[3])
-    gf = np.pad(g, ((0, 0), (0, 0), (0, 0), (0, wp - wo))).reshape(n, co, -1)
-    gw = [np.matmul(gf, win.transpose(0, 2, 1)).sum(axis=0) for win in wins]
-    return np.stack(gw, axis=-1).reshape(shape)
+    co, c, kh, kw = shape
+    n, _, ho, wo = g.shape
+    inner, _, wp, wins = _windows(c, x.shape[2], x.shape[3], pads, kh, kw, x.dtype)
+    gp = np.zeros((co, ho, wp), dtype=g.dtype)
+    gf = gp.reshape(co, -1)
+    gw = np.empty((kh * kw, co, c), dtype=np.result_type(x, g))
+    tmp = np.empty((co, c), dtype=gw.dtype)
+    for b in range(n):
+        inner[...] = x[b]
+        gp[:, :, :wo] = g[b]
+        for t, win in enumerate(wins):
+            if b == 0:
+                np.matmul(gf, win.T, out=gw[t])
+            else:
+                np.matmul(gf, win.T, out=tmp)
+                gw[t] += tmp
+    return np.ascontiguousarray(gw.transpose(1, 2, 0)).reshape(shape)
 
 
 def _conv_pads(padding: str, kh: int, kw: int) -> tuple[int, int, int, int]:
@@ -336,11 +359,17 @@ def _conv_pads(padding: str, kh: int, kw: int) -> tuple[int, int, int, int]:
     raise ContractError(f"padding must be 'same' or 'valid', got {padding!r}")
 
 
-def conv2d(x: Tensor, weight: Tensor, bias: Tensor, padding: str = "same") -> Tensor:
+def conv2d(x: Tensor, weight: Tensor, bias: Tensor, padding: str = "same",
+           fused_relu: bool = False) -> Tensor:
     """2-D convolution (stride 1) over [N,C,H,W] input.
 
     padding='same' preserves spatial dims for odd kernels; 'valid' yields
     H-kh+1 by W-kw+1. Differentiable w.r.t. input, weight and bias.
+
+    fused_relu applies relu to the output in place, so the graph holds one
+    array where relu(conv2d(...)) holds two. Backward masks g by out > 0,
+    which equals the pre-activation's > 0 mask (also for -0.0 and NaN), so
+    values and gradients are bit-equal to the unfused pair.
     """
     xd = _check_4d(x.data, "conv2d input")
     wd, bd = weight.data, bias.data
@@ -359,17 +388,22 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor, padding: str = "same") -> Te
 
     out = _conv_core(xd, wd, pads)
     out += bd[None, :, None, None]
+    if fused_relu:
+        np.maximum(out, 0, out=out)
 
     def bw(g):
+        if fused_relu:
+            # g is this node's own buffer, freed once this closure returns
+            np.multiply(g, out > 0, out=g)
         bias.accumulate_grad(g.sum(axis=(0, 2, 3)))
         if weight.requires_grad:
-            weight.accumulate_grad(_conv_weight_grad(xd, g, pads, wd.shape))
+            weight.accumulate_grad(_conv_weight_grad(xd, g, pads, wd.shape), fresh=True)
         if x.requires_grad:
             # grad wrt input = correlation of upstream grad with the flipped,
             # channel-swapped kernel under complementary padding
             wflip = wd[:, :, ::-1, ::-1].transpose(1, 0, 2, 3)
             gpads = (kh - 1 - pads[0], kh - 1 - pads[1], kw - 1 - pads[2], kw - 1 - pads[3])
-            x.accumulate_grad(_conv_core(g, wflip, gpads))
+            x.accumulate_grad(_conv_core(g, wflip, gpads), fresh=True)
 
     return Tensor._op(out, (x, weight, bias), bw)
 
@@ -395,7 +429,7 @@ def maxpool2(x: Tensor) -> Tensor:
             hit = ((v == out) | np.isnan(v)) & free
             np.multiply(g, hit, out=gx[:, :, r, s])
             free ^= hit
-        x.accumulate_grad(gx)
+        x.accumulate_grad(gx, fresh=True)
 
     return Tensor._op(out, (x,), bw)
 
@@ -407,9 +441,38 @@ def upsample2_nearest(x: Tensor) -> Tensor:
     out = np.repeat(np.repeat(xd, 2, axis=2), 2, axis=3)
 
     def bw(g):
-        x.accumulate_grad(g.reshape(n, c, h, 2, w, 2).sum(axis=(3, 5)))
+        x.accumulate_grad(g.reshape(n, c, h, 2, w, 2).sum(axis=(3, 5)), fresh=True)
 
     return Tensor._op(out, (x,), bw)
+
+
+def upsample2_merge(x: Tensor, skip: Tensor) -> Tensor:
+    """concat_channels(upsample2_nearest(x), skip) in one op: the upsample is
+    written straight into its channel slice of the merged output, so the
+    graph holds no separate upsampled copy. Values and gradients are
+    bit-equal to the pair's.
+    """
+    xd = _check_4d(x.data, "upsample2_merge input")
+    sd = _check_4d(skip.data, "upsample2_merge skip")
+    n, c, h, w = xd.shape
+    if sd.shape[0] != n or sd.shape[2:] != (2 * h, 2 * w):
+        raise DimensionError(f"upsample2_merge batch or spatial axis: {xd.shape} vs {sd.shape}")
+    out = np.empty((n, c + sd.shape[1], 2 * h, 2 * w), dtype=np.result_type(xd, sd))
+    up = out[:, :c]
+    for a in (0, 1):
+        for b in (0, 1):
+            up[:, :, a::2, b::2] = xd
+    out[:, c:] = sd
+
+    def bw(g):
+        if x.requires_grad:
+            # as the pair: concat's contiguous copy, then the block sum; the
+            # copy dies before the skip's gradient is made
+            gx = np.array(g[:, :c], dtype=xd.dtype).reshape(n, c, h, 2, w, 2).sum(axis=(3, 5))
+            x.accumulate_grad(gx, fresh=True)
+        skip.accumulate_grad(g[:, c:])
+
+    return Tensor._op(out, (x, skip), bw)
 
 
 def concat_channels(a: Tensor, b: Tensor) -> Tensor:
@@ -544,7 +607,7 @@ def adaptive_avg_pool2d(x: Tensor, out_hw: int) -> Tensor:
             for j in range(g_):
                 area = (he[i] - hs[i]) * (we[j] - ws[j])
                 gx[:, :, hs[i]:he[i], ws[j]:we[j]] += gr[:, :, i:i + 1, j:j + 1] / area
-        x.accumulate_grad(gx)
+        x.accumulate_grad(gx, fresh=True)
 
     return Tensor._op(out, (x,), bw)
 

@@ -25,6 +25,9 @@ from palmvein.synth import generate_subject, render_sample
 from palmvein.transforms import tcm
 
 
+STACK_STEP_PEAK_BOUND_MB = 100
+
+
 def small_cfg():
     return CEDConfig(depth=2, base_channels=4, input_size=32)
 
@@ -338,6 +341,24 @@ class TestGraphMemory:
         finally:
             tracemalloc.stop()
         assert peak <= 1.3 * live, (peak, live)
+
+    def test_stack_step_peak_bound(self, desk, rng):
+        # one desk stack fine-tune step at batch 10 (forward, backward, Adam)
+        # peaks near 78 MB traced; the bound fails a graph that keeps each
+        # pre-activation and upsampled merge input beside its successor and
+        # copies fresh gradients, which peaks near 135 MB
+        _, x, t = desk
+        stacked = stack_ceds(build_ced(CEDConfig(), seed=1), build_ced(CEDConfig(), seed=2))
+        state = AdamState()
+        tracemalloc.start()
+        try:
+            stacked.params.zero_grad()
+            backward(mse_loss(stacked_apply(stacked, Tensor(x)), Tensor(t)))
+            adam_step(stacked.params, state, lr=1e-3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < STACK_STEP_PEAK_BOUND_MB * 1e6, peak
 
     def test_inference_forward_peak_half_of_graph_forward(self, desk, rng):
         model = desk[0]

@@ -10,6 +10,8 @@ import numpy as np
 import pytest
 from scipy.signal import convolve2d, correlate2d
 
+import palmvein.ced as ced_module
+import palmvein.fe as fe_module
 import palmvein.tensor as T
 from palmvein import (
     ContractError,
@@ -28,8 +30,11 @@ from palmvein import (
     mse_loss,
     no_grad,
     relu,
+    upsample2_merge,
     upsample2_nearest,
 )
+from palmvein.ced import CEDConfig, build_ced, ced_apply, ced_forward
+from palmvein.fe import FEConfig, build_fe, embed_batch, pooled_trunk_batch
 from conftest import max_rel_err, numeric_grad
 
 F64 = np.float64
@@ -490,6 +495,203 @@ class TestNoGradAndConsumedGraph:
             backward(loss)
         with pytest.raises(ContractError, match="consumed"):
             backward((y * 3.0).sum())
+
+
+def _bits(a: np.ndarray) -> tuple:
+    return a.dtype, a.shape, a.tobytes()
+
+
+def _grads_of(make, leaves, upstream):
+    """Forward ``make()``, backpropagate ``sum(out * upstream)``; the output
+    and each leaf's gradient."""
+    for t in leaves:
+        t.grad = None
+    out = make()
+    backward((out * Tensor(upstream)).sum())
+    return [out.data] + [t.grad for t in leaves]
+
+
+class TestFusedOps:
+    """Each fused op against its unfused composition, bit for bit."""
+
+    def special_input(self, rng, dtype):
+        # exact zeros, -0.0 and NaN among ordinary values
+        x = rng.normal(size=(2, 3, 6, 5)).astype(dtype)
+        x[0, 0, :2] = 0.0
+        x[0, 1, :2] = -0.0
+        x[1, 2, 3, 1] = np.nan
+        return x
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("kh,kw,padding", [(3, 3, "same"), (7, 3, "same"), (3, 3, "valid")])
+    def test_conv_relu_equals_pair(self, rng, dtype, kh, kw, padding):
+        x = Tensor(self.special_input(rng, dtype), requires_grad=True)
+        w = Tensor(rng.normal(size=(4, 3, kh, kw)).astype(dtype), requires_grad=True)
+        b = Tensor(rng.normal(size=4).astype(dtype), requires_grad=True)
+        w.data[1] = 0.0  # channel 1's pre-activation is its bias alone
+        b.data[1] = 0.0
+        shape = conv2d(x, w, b, padding).shape
+        up = rng.normal(size=shape).astype(dtype)
+        fused = _grads_of(lambda: conv2d(x, w, b, padding, fused_relu=True), [x, w, b], up)
+        pair = _grads_of(lambda: relu(conv2d(x, w, b, padding)), [x, w, b], up)
+        assert np.isnan(pair[0]).any() and (pair[0] == 0).any()
+        for f, p in zip(fused, pair):
+            assert _bits(f) == _bits(p)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_conv_relu_mask_at_signed_zero_and_nan(self, dtype):
+        # a 1x1 one-channel conv with weights +-1 and bias -0.0 passes its
+        # input through exactly: pre-activations hit +0, -0 and NaN
+        x = Tensor(np.array([[[[0.0, -0.0, np.nan, 2.0, -3.0]]]], dtype=dtype), requires_grad=True)
+        w = Tensor(np.array([1.0, -1.0], dtype=dtype).reshape(2, 1, 1, 1), requires_grad=True)
+        b = Tensor(np.array([-0.0, -0.0], dtype=dtype), requires_grad=True)
+        up = np.arange(1.0, 11.0, dtype=dtype).reshape(1, 2, 1, 5)
+        fused = _grads_of(lambda: conv2d(x, w, b, "same", fused_relu=True), [x, w, b], up)
+        pair = _grads_of(lambda: relu(conv2d(x, w, b, "same")), [x, w, b], up)
+        pre = conv2d(x, w, b, "same").data
+        assert np.signbit(pre[0, 0, 0, 1]) and np.signbit(pre[0, 1, 0, 0])
+        for f, p in zip(fused, pair):
+            assert _bits(f) == _bits(p)
+        # only strictly positive pre-activations pass gradient; NaN does not
+        np.testing.assert_array_equal(x.grad[0, 0, 0], [0.0, 0.0, 0.0, 4.0, -10.0])
+
+    @pytest.mark.parametrize("dtypes", [(np.float32, np.float32), (np.float64, np.float64),
+                                        (np.float32, np.float64)])
+    def test_upsample_merge_equals_pair(self, rng, dtypes):
+        xv = self.special_input(rng, dtypes[0])[:, :, :3, :4]
+        sv = rng.normal(size=(2, 2, 6, 8)).astype(dtypes[1])
+        sv[1, 0, 0, :3] = [0.0, -0.0, np.nan]
+        x = Tensor(xv, requires_grad=True)
+        skip = Tensor(sv, requires_grad=True)
+        up = rng.normal(size=(2, 5, 6, 8)).astype(np.result_type(*dtypes))
+        up[0, 0, 0, 0] = -0.0
+        merged = _grads_of(lambda: upsample2_merge(x, skip), [x, skip], up)
+        pair = _grads_of(lambda: concat_channels(upsample2_nearest(x), skip), [x, skip], up)
+        for f, p in zip(merged, pair):
+            assert _bits(f) == _bits(p)
+
+    def test_upsample_merge_frozen_inputs(self, rng):
+        x = Tensor(rng.normal(size=(1, 2, 2, 2)), requires_grad=True)
+        skip = Tensor(rng.normal(size=(1, 1, 4, 4)))
+        backward(upsample2_merge(x, skip).sum())
+        np.testing.assert_array_equal(x.grad, np.full((1, 2, 2, 2), 4.0))
+        assert skip.grad is None
+
+    def test_upsample_merge_shape_mismatch_raises(self, rng):
+        with pytest.raises(DimensionError):
+            upsample2_merge(t64(rng.normal(size=(1, 2, 3, 3))), t64(rng.normal(size=(1, 1, 6, 5))))
+
+    def test_upsample_merge_gradients(self, rng):
+        x = t64(rng.normal(size=(2, 2, 3, 2)))
+        skip = t64(rng.normal(size=(2, 3, 6, 4)))
+        tgt = t64(rng.normal(size=(2, 5, 6, 4)), False)
+        fd_assert(lambda: mse_loss(upsample2_merge(x, skip), tgt), [x, skip])
+
+    def test_conv_relu_gradients(self, rng):
+        x = t64(rng.normal(size=(2, 2, 7, 6)))
+        w = t64(rng.normal(size=(3, 2, 5, 3)) * 0.3)
+        b = t64(rng.normal(size=3))
+        tgt = t64(rng.normal(size=(2, 3, 7, 6)), False)
+        fd_assert(lambda: mse_loss(conv2d(x, w, b, "same", fused_relu=True), tgt), [x, w, b])
+
+
+class TestGradientBuffers:
+    def test_two_convs_sum_into_one_input(self, rng):
+        x = Tensor(rng.normal(size=(2, 3, 8, 8)), requires_grad=True)
+        ws = [Tensor(rng.normal(size=(4, 3, 3, 3))) for _ in range(2)]
+        bs = [Tensor(rng.normal(size=4)) for _ in range(2)]
+        ups = [Tensor(rng.normal(size=(2, 4, 8, 8))) for _ in range(2)]
+        alone = []
+        for w, b, up in zip(ws, bs, ups):
+            x.grad = None
+            backward((conv2d(x, w, b, fused_relu=True) * up).sum())
+            alone.append(x.grad)
+        x.grad = None
+        backward((conv2d(x, ws[0], bs[0], fused_relu=True) * ups[0]
+                  + conv2d(x, ws[1], bs[1], fused_relu=True) * ups[1]).sum())
+        assert _bits(x.grad) == _bits(alone[0] + alone[1])
+        assert not any(np.may_share_memory(x.grad, a) for a in alone)
+
+    def test_no_two_nodes_share_a_gradient_buffer(self, rng, monkeypatch):
+        # every gradient a backward closure receives, and every leaf gradient,
+        # is a buffer of its own; references are kept so none is reused
+        seen = []
+        make = Tensor._op.__func__
+
+        def recording_op(cls, data, parents, backward_fn):
+            out = make(cls, data, parents, backward_fn)
+            if out._backward_fn is not None:
+                inner = out._backward_fn
+
+                def bw(g):
+                    seen.append(g)
+                    inner(g)
+
+                out._backward_fn = bw
+            return out
+
+        monkeypatch.setattr(Tensor, "_op", classmethod(recording_op))
+        model = build_ced(CEDConfig(depth=2, base_channels=4, input_size=16), seed=0)
+        x = Tensor(rng.uniform(size=(3, 1, 16, 16)), requires_grad=True)
+        out = ced_apply(model, x)
+        loss = mse_loss(out + out * 0.5, Tensor(rng.uniform(size=(3, 1, 16, 16))))
+        backward(loss)
+        buffers = seen + [x.grad] + [p.grad for p in model.params.tensors()]
+        assert len(seen) > 15 and all(b is not None for b in buffers)
+        for i, a in enumerate(buffers):
+            for b in buffers[i + 1:]:
+                assert not np.may_share_memory(a, b)
+
+    def test_add_hands_each_parent_its_own_copy(self, rng):
+        p = Tensor(rng.normal(size=(3, 4)), requires_grad=True)
+        q = Tensor(rng.normal(size=(3, 4)), requires_grad=True)
+        t = rng.normal(size=(3, 4))
+        backward(((p + q) * Tensor(t)).sum())
+        np.testing.assert_array_equal(p.grad, t)
+        np.testing.assert_array_equal(q.grad, t)
+        assert not np.may_share_memory(p.grad, q.grad)
+
+    def test_fresh_gradient_is_cast_to_the_tensor_dtype(self, rng):
+        x = Tensor(rng.normal(size=(1, 2, 5, 5)).astype(np.float32), requires_grad=True)
+        w = Tensor(rng.normal(size=(2, 2, 3, 3)), requires_grad=True)  # float64
+        b = Tensor(np.zeros(2), requires_grad=True)
+        backward(conv2d(x, w, b).sum())
+        assert x.grad.dtype == np.float32 and w.grad.dtype == np.float64
+
+
+class TestInferenceChunks:
+    """Chunked inference rows against other chunk sizes. A conv image's
+    result ignores its batch, so CED and pooled-trunk rows equal those at one
+    image per forward. Embedding rows go through the head's GEMM, whose rows
+    differ in the last bits when a chunk has fewer than 8 rows (ROADMAP item
+    8), so they are compared bit for bit with 64-image chunks, every chunk
+    of at least 8 rows, and within float32 rounding with one image."""
+
+    def test_ced_forward_rows_equal_one_image_per_forward(self, rng, monkeypatch):
+        model = build_ced(CEDConfig(), seed=2)
+        imgs = rng.uniform(size=(19, 64, 64)).astype(np.float32)
+        default = ced_forward(model, imgs)
+        assert ced_module._FORWARD_CHUNK < len(imgs)
+        monkeypatch.setattr(ced_module, "_FORWARD_CHUNK", 1)
+        assert _bits(ced_forward(model, imgs)) == _bits(default)
+
+    def test_pooled_trunk_rows_equal_one_image_per_forward(self, rng, monkeypatch):
+        model = build_fe(FEConfig(), seed=2)
+        mcis = rng.uniform(size=(35, 3, 64, 64)).astype(np.float32)
+        default = pooled_trunk_batch(model, mcis)
+        assert fe_module._EMBED_CHUNK < len(mcis)
+        monkeypatch.setattr(fe_module, "_EMBED_CHUNK", 1)
+        assert _bits(pooled_trunk_batch(model, mcis)) == _bits(default)
+
+    def test_embed_rows_equal_at_chunks_of_8_or_more(self, rng, monkeypatch):
+        model = build_fe(FEConfig(), seed=2)
+        mcis = rng.uniform(size=(40, 3, 64, 64)).astype(np.float32)
+        default = embed_batch(model, mcis)
+        assert fe_module._EMBED_CHUNK < len(mcis) and len(mcis) % fe_module._EMBED_CHUNK >= 8
+        monkeypatch.setattr(fe_module, "_EMBED_CHUNK", 64)
+        assert _bits(embed_batch(model, mcis)) == _bits(default)
+        monkeypatch.setattr(fe_module, "_EMBED_CHUNK", 1)
+        np.testing.assert_allclose(embed_batch(model, mcis), default, rtol=0, atol=1e-6)
 
 
 class TestParamSet:
